@@ -1,13 +1,15 @@
-"""Oracle-throughput bench — presorted vs naive split engine.
+"""Oracle-throughput bench — presorted split engine vs the seed's naive one.
 
 Table II attributes the bulk of FastFT's search wall time to the
 downstream oracle A(F, y): cross-validated random forests over every
 triggered candidate feature set. This benchmark times
 :meth:`DownstreamEvaluator.evaluate` on a representative mid-search
 matrix (~2000 x 60, the paper's medium datasets after a few
-transformation steps) under both split engines, verifies the scores are
-*identical* (the presort engine's bit-identity contract), and records
-the speedup so future PRs can track the trajectory.
+transformation steps) with the production forest (presort engine) and
+with the seed's per-node-argsort engine from ``tests/reference/``
+injected, verifies the scores are *identical* (the presort engine's
+bit-identity contract), and records the speedup so future PRs can track
+the trajectory.
 
 Timing notes: the ratio is taken from the best of two rounds per engine
 to damp CPU-contention noise, and the assertion floor is deliberately
@@ -23,7 +25,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.ml.evaluation import DownstreamEvaluator, default_model_for_task
+from repro.ml.evaluation import DownstreamEvaluator
+from repro.ml.forest import RandomForestClassifier
+from tests.reference.split_engine import NaiveEngine
 
 ROUNDS = 2
 
@@ -43,14 +47,16 @@ def _representative_matrix(seed: int = 0, n: int = 2000, d: int = 60):
 def _time_engine(engine: str, X, y, n_estimators: int, n_splits: int):
     best, score = float("inf"), None
     for _ in range(ROUNDS):
+        # The oracle's default forest, with the reference engine injected
+        # for the naive arm.
+        split_engine = NaiveEngine() if engine == "naive" else None
         evaluator = DownstreamEvaluator(
             "classification",
-            model=default_model_for_task(
-                "classification", n_estimators=n_estimators, seed=0, split_engine=engine
+            model=RandomForestClassifier(
+                n_estimators=n_estimators, max_depth=8, seed=0, split_engine=split_engine
             ),
             n_splits=n_splits,
             seed=0,
-            engine=engine,
         )
         start = time.perf_counter()
         s = evaluator.evaluate(X, y)

@@ -4,12 +4,12 @@ Table II splits FastFT's per-step cost into optimization, estimation and
 evaluation; PR 2 and the evaluation cache attacked the evaluation bucket,
 and this benchmark tracks the other two. It runs the same seeded search
 twice with the downstream oracle mocked out to a constant-time stub — so
-wall time is pure optimization + estimation — once with
-``inner_loop="naive"`` (the seed implementation: dict-of-columns
-FeatureSpace, full MI/state recomputation per step, three sequence encodes
-per novelty score) and once with ``inner_loop="arena"`` (columnar arena,
-incremental state/MI caches, fused estimation passes), verifies the two
-trajectories are *bit-identical* step for step, and records steps/sec.
+wall time is pure optimization + estimation — once on the seed inner loop
+kept in ``tests/reference/session.py`` (dict-of-columns FeatureSpace, full
+MI/state recomputation per step, separate novelty and embedding encodes)
+and once on :class:`SearchSession` (columnar arena, incremental state/MI
+caches, fused estimation passes), verifies the two trajectories are
+*bit-identical* step for step, and records steps/sec.
 
 Timing notes: like fig10 this is a wall-time ratio and contention-
 sensitive (``@pytest.mark.serial`` — never time it while other CPU-heavy
@@ -32,6 +32,7 @@ import pytest
 
 from repro.core.config import FastFTConfig
 from repro.core.session import SearchSession
+from tests.reference.session import ReferenceSession
 
 ROUNDS = 2
 
@@ -60,7 +61,7 @@ def _search_problem(n: int = 2000, d: int = 30):
     return X, y
 
 
-def _search_config(profile, inner_loop: str) -> FastFTConfig:
+def _search_config(profile) -> FastFTConfig:
     smoke = profile.name == "smoke"
     return FastFTConfig(
         episodes=3,
@@ -74,17 +75,17 @@ def _search_config(profile, inner_loop: str) -> FastFTConfig:
         trigger_warmup=2,
         max_clusters=4,
         seed=0,
-        inner_loop=inner_loop,
     )
 
 
-def _run_arm(inner_loop: str, profile, X, y):
+def _run_arm(arm: str, profile, X, y):
     best_t = float("inf")
     reference = None
     for _ in range(ROUNDS):
-        session = SearchSession(
+        session_cls = ReferenceSession if arm == "naive" else SearchSession
+        session = session_cls(
             X, y, "classification",
-            config=_search_config(profile, inner_loop),
+            config=_search_config(profile),
             evaluator=_StubOracle(),
         )
         session.start()

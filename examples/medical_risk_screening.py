@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro import api
 from repro.core import FastFTConfig
-from repro.core.tracing import feature_importance_table, reward_peak_features
+from repro.core.traceability import feature_importance_table, reward_peak_features
 from repro.data import load_dataset
 from repro.ml import (
     DownstreamEvaluator,

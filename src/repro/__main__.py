@@ -95,7 +95,6 @@ def _search_config(args: argparse.Namespace):
         component_epochs=args.component_epochs,
         cv_splits=args.cv,
         rf_estimators=args.rf_estimators,
-        oracle_engine=args.oracle_engine,
         cv_jobs=args.cv_jobs,
         oracle_mode=args.oracle_mode,
         reconcile_every_k=args.reconcile_every_k,
@@ -615,13 +614,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         help="trees in the downstream random forest (default: %(default)s)",
     )
     parser.add_argument("--cv", type=int, default=3)
-    parser.add_argument(
-        "--oracle-engine",
-        choices=["naive", "presort"],
-        default="presort",
-        help="split engine of the downstream oracle's random forest; both "
-        "produce bit-identical scores, presort is faster (default: %(default)s)",
-    )
     parser.add_argument(
         "--cv-jobs",
         type=int,

@@ -19,10 +19,8 @@
 Everything here is sugar over :class:`repro.core.session.SearchSession`;
 use the session directly for stepping, checkpoint/resume and custom
 callback wiring. Any :class:`~repro.core.config.FastFTConfig` field can be
-overridden by keyword — including the oracle knobs
-(``api.search(X, y, oracle_engine="naive", cv_jobs=-1)``), which select
-the downstream forest's split engine (presort and naive are bit-identical;
-presort is faster) and fold-parallel cross-validation, and the async
+overridden by keyword — including the oracle knobs: fold-parallel
+cross-validation (``api.search(X, y, cv_jobs=-1)``) and the async
 oracle (``api.search(X, y, oracle_mode="async", oracle_workers=4,
 reconcile_every_k=4)``), which overlaps triggered downstream evaluations
 with the search loop: steps advance on predictor estimates while worker
@@ -30,6 +28,11 @@ processes run the real CV, and scores land at schedule-pinned reconcile
 points so the trajectory is deterministic for a given
 ``reconcile_every_k`` — bit-identical to the ``oracle_workers=0`` inline
 reference arm at any pool size (see :mod:`repro.core.async_oracle`).
+
+There is one oracle engine and one inner loop: the forest fits with the
+presorted split engine, and the search keeps its features in the columnar
+arena with incremental caches. The seed implementations of both are kept
+as test oracles in ``tests/reference/``, bit-identical to production.
 
 The :class:`EvaluationCache` (re-exported from :mod:`repro.ml.cache`)
 attacks the *evaluation* bucket of the paper's Table II time breakdown:

@@ -59,7 +59,7 @@ from repro.core.sequence import FeatureNode, FeatureSpace, TransformationPlan
 from repro.core.session import CheckpointCorruptError, SearchSession
 from repro.core.state import STATE_DIM, describe_matrix, rep_operation
 from repro.core.tokens import TokenVocabulary
-from repro.core.tracing import feature_importance_table, reward_peak_features
+from repro.core.traceability import feature_importance_table, reward_peak_features
 
 __all__ = [
     "FastFT",

@@ -80,16 +80,12 @@ class FastFTConfig:
     cv_splits: int = 5
     rf_estimators: int = 10
     rf_max_depth: int | None = 8
-    # Split-engine for the oracle's random forest: "presort" (vectorized,
-    # bit-identical to the reference) or "naive" (the reference itself).
-    oracle_engine: str = "presort"
+    # The forest fits with the presorted split engine, and the search's
+    # inner loop runs on the columnar arena with incremental caches. The
+    # seed implementations of both are test oracles in tests/reference/.
+
     # Worker processes for fold-parallel CV (1 = serial, -1 = all cores).
     cv_jobs: int = 1
-    # Search inner-loop implementation: "arena" (columnar FeatureSpace
-    # arena + incremental state/MI caches + fused estimation passes,
-    # bit-identical to the reference) or "naive" (the seed implementation,
-    # kept as the reference arm of benchmarks/test_search_throughput.py).
-    inner_loop: str = "arena"
     # Oracle scheduling: "serial" runs triggered evaluations inside the
     # step (the paper's timeline and the pinned GOLDEN_DIGESTS arm);
     # "async" defers them to an AsyncOracle pool while the search advances
@@ -151,10 +147,6 @@ class FastFTConfig:
             )
         if self.seq_model not in ("lstm", "rnn", "transformer"):
             raise ValueError("seq_model must be lstm, rnn or transformer")
-        if self.oracle_engine not in ("naive", "presort"):
-            raise ValueError("oracle_engine must be 'naive' or 'presort'")
-        if self.inner_loop not in ("arena", "naive"):
-            raise ValueError("inner_loop must be 'arena' or 'naive'")
         if self.cv_jobs < 1 and self.cv_jobs != -1:
             raise ValueError("cv_jobs must be >= 1 or -1 (all cores)")
         if self.oracle_mode not in ("serial", "async"):
@@ -167,6 +159,12 @@ class FastFTConfig:
             raise ValueError("oracle_timeout must be positive or None")
         if self.oracle_retries < 0:
             raise ValueError("oracle_retries must be >= 0")
+
+    def __setstate__(self, state: dict) -> None:
+        # Configs pickled by older builds (session checkpoints, job results)
+        # may carry fields since removed; keep only the ones this build has.
+        known = {f.name for f in fields(self)}
+        self.__dict__.update({k: v for k, v in state.items() if k in known})
 
     def resolved_max_features(self, n_original: int) -> int:
         if self.max_features is not None:
@@ -187,7 +185,8 @@ class FastFTConfig:
         """Rebuild from :meth:`to_jsonable` output.
 
         Unknown keys are dropped (a spec written by a newer build still
-        loads, minus the fields this build does not know about), and the
+        loads, minus the fields this build does not know about, and one
+        written by an older build may carry fields since removed), and the
         tuple-typed head-dims fields are converted back from lists.
         """
         known = {f.name for f in fields(cls)}

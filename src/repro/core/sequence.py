@@ -188,34 +188,24 @@ class FeatureSpace:
     Maintains the value matrix, the provenance registry and the live-column
     ordering; supports group-wise crossing (§III-B) and importance pruning.
 
-    Two storage backends share the same semantics (and are proven
-    byte-identical by the property tests):
+    Columns live in one contiguous column-major ``(n_samples, capacity)``
+    arena with amortized-doubling growth. Column ``fid`` lives at arena
+    slot ``fid``; :meth:`values` is a zero-copy view, :meth:`matrix` is a
+    single vectorized gather, and :meth:`matrix_view` returns a zero-copy
+    F-contiguous view when the requested features are a contiguous id
+    prefix. Duplicate detection is O(1) via a derivation-signature count
+    maintained across :meth:`prune` (the seed implementation scanned the
+    whole live set per candidate pair).
 
-    - ``"arena"`` (default): one contiguous column-major ``(n_samples,
-      capacity)`` buffer with amortized-doubling growth. Column ``fid``
-      lives at arena slot ``fid``; :meth:`values` is a zero-copy view,
-      :meth:`matrix` is a single vectorized gather, and
-      :meth:`matrix_view` returns a zero-copy F-contiguous view when the
-      requested features are a contiguous id prefix.
-    - ``"dict"``: the original one-1-D-array-per-feature store, kept as the
-      bit-exact reference for tests and the search-throughput benchmark.
-
-    Either way, duplicate detection is O(1) via a derivation-signature
-    count maintained across :meth:`prune` (the seed implementation scanned
-    the whole live set per candidate pair).
+    The seed's dict-of-columns store is kept as a test oracle in
+    ``tests/reference/sequence.py``; the property tests prove the two
+    byte-identical.
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        feature_names: list[str] | None = None,
-        backend: str = "arena",
-    ) -> None:
+    def __init__(self, X: np.ndarray, feature_names: list[str] | None = None) -> None:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
-        if backend not in ("arena", "dict"):
-            raise ValueError(f"Unknown FeatureSpace backend {backend!r}")
         self.n_input_columns = X.shape[1]
         self.feature_names = (
             list(feature_names)
@@ -224,19 +214,11 @@ class FeatureSpace:
         )
         if len(self.feature_names) != X.shape[1]:
             raise ValueError("feature_names length mismatch")
-        self._backend = backend
         self._n_samples = X.shape[0]
         self._nodes: dict[int, FeatureNode] = {}
-        self._columns: dict[int, np.ndarray] | None = None
-        self._arena: np.ndarray | None = None
-        if backend == "arena":
-            # 2x headroom over the input width bounds the growth slack at a
-            # factor of two of what the dict backend would hold.
-            self._arena = np.empty(
-                (X.shape[0], max(8, 2 * X.shape[1])), dtype=float, order="F"
-            )
-        else:
-            self._columns = {}
+        # 2x headroom over the input width bounds the growth slack at a
+        # factor of two of what one array per column would hold.
+        self._arena = np.empty((X.shape[0], max(8, 2 * X.shape[1])), dtype=float, order="F")
         self._live: list[int] = []
         self._sig_count: dict[tuple[str, tuple[int, ...]], int] = {}
         self._next_fid = 0
@@ -260,13 +242,9 @@ class FeatureSpace:
         self._nodes[fid] = FeatureNode(
             fid=fid, op=node.op, children=node.children, source_col=node.source_col
         )
-        column = sanitize_features(values.reshape(-1, 1)).ravel()
-        if self._backend == "arena":
-            if fid >= self._arena.shape[1]:
-                self._grow(fid + 1, n_filled=fid)
-            self._arena[:, fid] = column
-        else:
-            self._columns[fid] = column
+        if fid >= self._arena.shape[1]:
+            self._grow(fid + 1, n_filled=fid)
+        self._arena[:, fid] = sanitize_features(values.reshape(-1, 1)).ravel()
         return fid
 
     def _live_append(self, fid: int) -> None:
@@ -286,20 +264,22 @@ class FeatureSpace:
         self._sig_count = sig
 
     def __setstate__(self, state: dict) -> None:
-        # Spaces pickled before the arena rewrite carry only the dict store;
-        # adopt them as the "dict" backend so old checkpoints keep working.
+        # Spaces pickled by older builds may hold their columns in a dict
+        # (``_columns``, fid -> column) instead of the arena, and the
+        # oldest carry neither ``_n_samples`` nor the signature counts.
+        # Adopt every such state onto the arena; the values are the same.
         self.__dict__.update(state)
-        if "_backend" not in state:
-            self._backend = "dict"
-            self._arena = None
-            self._n_samples = (
-                len(next(iter(self._columns.values()))) if self._columns else 0
-            )
+        self.__dict__.pop("_backend", None)
+        columns = self.__dict__.pop("_columns", None)
+        if columns is not None:
+            n = len(next(iter(columns.values()))) if columns else 0
+            self._n_samples = n
+            width = max(8, 2 * self.n_input_columns, self._next_fid)
+            self._arena = np.empty((n, width), dtype=float, order="F")
+            for fid, column in columns.items():
+                self._arena[:, fid] = column
+        if "_sig_count" not in state:
             self._rebuild_signatures()
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     @property
     def live_ids(self) -> list[int]:
@@ -342,8 +322,6 @@ class FeatureSpace:
         arena gathers into row-major order before handing the matrix out).
         """
         fids = self._live if fids is None else fids
-        if self._backend != "arena":
-            return np.column_stack([self._columns[f] for f in fids])
         if not fids:
             raise ValueError("matrix() of an empty feature list")
         if self._is_live_prefix(fids):
@@ -354,8 +332,8 @@ class FeatureSpace:
         out = np.empty((self._n_samples, len(fids)), dtype=float)
         for j, f in enumerate(fids):
             if f not in self._nodes:
-                # Match the dict backend: an unallocated fid is a KeyError,
-                # never a silent read of uninitialized arena slots.
+                # An unallocated fid is a KeyError, never a silent read of
+                # uninitialized arena slots.
                 raise KeyError(f)
             out[:, j] = self._arena[:, f]
         return out
@@ -370,20 +348,18 @@ class FeatureSpace:
         content hashing) — never mutate it.
         """
         fids = self._live if fids is None else fids
-        if self._backend == "arena" and fids and self._is_live_prefix(fids):
+        if fids and self._is_live_prefix(fids):
             view = self._arena[:, : len(fids)]
             view.flags.writeable = False
             return view
         return self.matrix(fids)
 
     def values(self, fid: int) -> np.ndarray:
-        if self._backend == "arena":
-            if fid not in self._nodes:
-                raise KeyError(fid)
-            view = self._arena[:, fid]
-            view.flags.writeable = False
-            return view
-        return self._columns[fid]
+        if fid not in self._nodes:
+            raise KeyError(fid)
+        view = self._arena[:, fid]
+        view.flags.writeable = False
+        return view
 
     # -- transformation ----------------------------------------------------------
 

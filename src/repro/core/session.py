@@ -32,7 +32,6 @@ from __future__ import annotations
 import pickle
 import time
 from collections import deque
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -48,10 +47,9 @@ from repro.core.predictor import PerformancePredictor
 from repro.core.result import FastFTResult, StepRecord, TimeBreakdown
 from repro.core.reward import NoveltyWeightSchedule, downstream_reward, pseudo_reward
 from repro.core.sequence import FeatureSpace, TransformationPlan
-from repro.core.state import StateCache, describe_matrix
+from repro.core.state import StateCache
 from repro.core.tokens import TokenVocabulary
 from repro.ml.evaluation import TASKS, DownstreamEvaluator, default_model_for_task
-from repro.ml.mutual_info import mutual_info_with_target
 from repro.ml.preprocessing import sanitize_features
 from repro.nn.tensor import no_grad
 
@@ -84,9 +82,6 @@ def make_default_evaluator(task: str, config: FastFTConfig) -> DownstreamEvaluat
     """The paper-default downstream oracle a session builds when none is
     supplied — the single source of truth shared with :mod:`repro.api`.
 
-    ``config.oracle_engine`` selects the forest's split engine (the
-    presorted engine is bit-identical to the naive reference, so scores
-    and search trajectories do not depend on the choice) and
     ``config.cv_jobs`` turns on fold-parallel cross-validation.
     """
     return DownstreamEvaluator(
@@ -96,11 +91,9 @@ def make_default_evaluator(task: str, config: FastFTConfig) -> DownstreamEvaluat
             n_estimators=config.rf_estimators,
             max_depth=config.rf_max_depth,
             seed=config.seed,
-            split_engine=config.oracle_engine,
         ),
         n_splits=config.cv_splits,
         seed=config.seed,
-        engine=config.oracle_engine,
         cv_jobs=config.cv_jobs,
     )
 
@@ -359,15 +352,8 @@ class SearchSession:
         self._seen_expressions: set[str] = set()
         self._unencountered_total = 0
 
-        # Columnar-arena inner loop (cfg.inner_loop == "arena"): per-episode
-        # incremental caches, all bit-identical to the naive reference path.
-        # Subsampled MI clustering can only be cached when the row subsample
-        # is pinned by a seed; an unseeded session falls back to the
-        # reference clustering (the rest of the arena path still applies).
-        self._use_arena = cfg.inner_loop == "arena"
-        self._incremental_clustering = self._use_arena and not (
-            cfg.seed is None and self._X.shape[0] > cfg.mi_max_rows
-        )
+        # Per-episode incremental caches over the columnar arena (see
+        # _attach_caches), all bit-identical to recomputing from scratch.
         self._state_cache: StateCache | None = None
         self._clusterer: IncrementalClusterer | None = None
         self._relevance_cache: RelevanceCache | None = None
@@ -480,60 +466,61 @@ class SearchSession:
         live = space.live_ids_view  # read-only; fresh lists are built below
         return [[live[c] for c in cols] for cols in column_clusters]
 
+    def _attach_caches(self, space: FeatureSpace) -> None:
+        """Build the incremental caches that describe ``space``.
+
+        Per-column stats and MI estimates are cached by feature id (columns
+        are immutable), so only newly created features cost O(n_samples)
+        work. Feature ids restart every episode, so the caches are rebuilt
+        alongside the space they describe. Subsampled MI clustering can
+        only be cached when a seed pins the row subsample; an unseeded
+        session clusters from scratch at every call instead.
+        """
+        cfg = self.config
+        self._state_cache = StateCache(space)
+        self._relevance_cache = RelevanceCache(self.task, cfg.mi_bins)
+        pinned_rows = cfg.seed is not None or self._X.shape[0] <= cfg.mi_max_rows
+        self._clusterer = (
+            IncrementalClusterer(
+                task=self.task,
+                distance_threshold=cfg.cluster_threshold,
+                max_clusters=cfg.max_clusters,
+                n_bins=cfg.mi_bins,
+                max_rows=cfg.mi_max_rows,
+                seed=cfg.seed,
+            )
+            if pinned_rows
+            else None
+        )
+
     def _recluster(
         self, space: FeatureSpace
     ) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
-        if self._state_cache is not None:
-            # Arena path: per-column stats and MI estimates are cached by
-            # feature id (columns are immutable), so only newly created
-            # features cost O(n_samples) work — bit-identical to the
-            # reference branch below, which is pinned by the determinism
-            # goldens and tests/core/test_incremental_search.py.
-            live = space.live_ids_view
-            if self._clusterer is not None:
-                column_clusters = self._clusterer.cluster(space, self._y, live)
-            else:  # unseeded row subsampling: reference clustering per call
-                column_clusters = self._reference_clusters(sanitize_features(space.matrix()))
-            fid_clusters = self._cluster_fids(space, column_clusters)
-            overall_rep = self._state_cache.describe(live)
-            cluster_reps = np.stack(
-                [self._state_cache.describe(fids) for fids in fid_clusters]
-            )
-            return fid_clusters, overall_rep, cluster_reps
-        matrix = sanitize_features(space.matrix())
-        column_clusters = self._reference_clusters(matrix)
-        fid_clusters = self._cluster_fids(space, column_clusters)
-        overall_rep = describe_matrix(matrix)
-        cluster_reps = np.stack(
-            [describe_matrix(space.matrix(fids)) for fids in fid_clusters]
-        )
-        return fid_clusters, overall_rep, cluster_reps
-
-    def _reference_clusters(self, matrix: np.ndarray) -> list[list[int]]:
         cfg = self.config
-        return cluster_features(
-            matrix,
-            self._y,
-            task=self.task,
-            distance_threshold=cfg.cluster_threshold,
-            max_clusters=cfg.max_clusters,
-            n_bins=cfg.mi_bins,
-            max_rows=cfg.mi_max_rows,
-            seed=cfg.seed,
-        )
+        live = space.live_ids_view
+        if self._clusterer is not None:
+            column_clusters = self._clusterer.cluster(space, self._y, live)
+        else:  # unpinned row subsample: cluster from scratch
+            column_clusters = cluster_features(
+                sanitize_features(space.matrix()),
+                self._y,
+                task=self.task,
+                distance_threshold=cfg.cluster_threshold,
+                max_clusters=cfg.max_clusters,
+                n_bins=cfg.mi_bins,
+                max_rows=cfg.mi_max_rows,
+                seed=cfg.seed,
+            )
+        fid_clusters = self._cluster_fids(space, column_clusters)
+        overall_rep = self._state_cache.describe(live)
+        cluster_reps = np.stack([self._state_cache.describe(fids) for fids in fid_clusters])
+        return fid_clusters, overall_rep, cluster_reps
 
     def _prune(self, space: FeatureSpace) -> None:
         if space.n_features <= self._feature_cap:
             return
-        if self._relevance_cache is not None:
-            live = space.live_ids_view
-            relevance = self._relevance_cache.relevance(space, self._y, live)
-        else:
-            matrix = sanitize_features(space.matrix())
-            relevance = mutual_info_with_target(
-                matrix, self._y, task=self.task, n_bins=self.config.mi_bins
-            )
-            live = space.live_ids
+        live = space.live_ids_view
+        relevance = self._relevance_cache.relevance(space, self._y, live)
         order = np.argsort(-relevance)
         keep = [live[i] for i in order[: self._feature_cap]]
         space.prune(keep)
@@ -560,33 +547,8 @@ class SearchSession:
     # -- the step machine ---------------------------------------------------------
 
     def _begin_episode(self) -> None:
-        cfg = self.config
-        self._space = FeatureSpace(
-            self._X,
-            self._feature_names,
-            backend="arena" if self._use_arena else "dict",
-        )
-        if self._use_arena:
-            # Feature ids restart every episode, so the incremental caches
-            # are rebuilt alongside the space they describe.
-            self._state_cache = StateCache(self._space)
-            self._relevance_cache = RelevanceCache(self.task, cfg.mi_bins)
-            self._clusterer = (
-                IncrementalClusterer(
-                    task=self.task,
-                    distance_threshold=cfg.cluster_threshold,
-                    max_clusters=cfg.max_clusters,
-                    n_bins=cfg.mi_bins,
-                    max_rows=cfg.mi_max_rows,
-                    seed=cfg.seed,
-                )
-                if self._incremental_clustering
-                else None
-            )
-        else:
-            self._state_cache = None
-            self._relevance_cache = None
-            self._clusterer = None
+        self._space = FeatureSpace(self._X, self._feature_names)
+        self._attach_caches(self._space)
         self._body_tokens = []
         self._prev_seq = self._vocab.finalize(self._body_tokens, self.config.max_seq_len)
 
@@ -646,22 +608,14 @@ class SearchSession:
         time_estimation = 0.0
         time_evaluation = 0.0
 
-        # Inference-only forwards skip autograd bookkeeping on the arena
-        # path — same numpy expressions, so outputs are bit-identical; the
-        # naive arm keeps recording graphs, as the seed implementation did.
-        inference = no_grad if self._use_arena else nullcontext
-
+        # Inference-only forwards skip autograd bookkeeping: same numpy
+        # expressions as a graph-recording forward, so bit-identical outputs.
         if self._novelty is not None and self._components_trained:
             t1 = time.perf_counter()
-            if self._use_arena:
-                # Fused pass: the frozen target encodes the sequence once
-                # for both the distillation gap and the Fig 14 embedding
-                # (bit-identical; the naive arm keeps the two passes).
-                with no_grad():
-                    nov_raw, emb = self._novelty.score_with_embedding(seq)
-            else:
-                nov_raw = self._novelty.score(seq)
-                emb = None
+            # Fused pass: the frozen target encodes the sequence once for
+            # both the distillation gap and the Fig 14 embedding.
+            with no_grad():
+                nov_raw, emb = self._novelty.score_with_embedding(seq)
             # Running-std normalization keeps the intrinsic term on the same
             # scale as the performance delta regardless of the orthogonal
             # target's gain (standard RND practice); the raw value feeds the
@@ -671,8 +625,6 @@ class SearchSession:
                 nov = float(np.tanh(nov_raw / scale))
             else:
                 nov = 1.0 if nov_raw > 0 else 0.0
-            if emb is None:
-                emb = self._novelty.embedding(seq)
             nov_dist = novelty_distance(emb, self._embedding_history.view())
             self._embedding_history.append(emb)
             time_estimation += time.perf_counter() - t1
@@ -685,7 +637,7 @@ class SearchSession:
             # per-sequence forwards, so the previous sequence — needed
             # once per episode for the first reward delta — shares the
             # current sequence's pass.
-            with inference():
+            with no_grad():
                 if self._prev_phi is None:
                     phis = self._predictor.predict_batch([seq, self._prev_seq])
                     phi_i = float(phis[0])
@@ -962,26 +914,22 @@ class SearchSession:
         self._callbacks = CallbackList()
         if self.config.verbose:
             self._callbacks.append(VerboseLogger())
-        # Checkpoints written before the arena inner loop: adopt their list
-        # of embeddings, default the config field, and resume the current
-        # episode on the reference path (its FeatureSpace is a dict-backend
-        # space without caches); the next episode re-enters the arena path.
-        if not hasattr(self.config, "inner_loop"):
-            self.config.inner_loop = "arena"
+        # Checkpoints written by older builds: adopt their list of
+        # embeddings, drop the flags that once chose the inner loop, and
+        # resume the current episode on the arena path. Their FeatureSpace
+        # has already adopted its columns into the arena; a space without
+        # caches gets them built here, and since the caches only memoize
+        # pure functions of the columns, the episode continues bit for bit.
         if isinstance(getattr(self, "_embedding_history", None), list):
             log = EmbeddingLog()
             for emb in self._embedding_history:
                 log.append(emb)
             self._embedding_history = log
-        if "_use_arena" not in state:
-            cfg = self.config
-            self._use_arena = cfg.inner_loop == "arena"
-            self._incremental_clustering = self._use_arena and not (
-                cfg.seed is None and self._X.shape[0] > cfg.mi_max_rows
-            )
-            self._state_cache = None
-            self._relevance_cache = None
-            self._clusterer = None
+        for name in ("_use_arena", "_incremental_clustering"):
+            self.__dict__.pop(name, None)
+        space = getattr(self, "_space", None)
+        if space is not None and getattr(self, "_state_cache", None) is None:
+            self._attach_caches(space)
         # Checkpoints written before the async oracle: default the config
         # knobs and the (empty) deferred-evaluation state.
         for name, default in (

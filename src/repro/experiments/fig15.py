@@ -8,7 +8,7 @@ interpretable domain structure (e.g. ``Weight/(Active*DBP)``).
 
 from __future__ import annotations
 
-from repro.core.tracing import reward_peak_features
+from repro.core.traceability import reward_peak_features
 from repro.experiments.harness import load_profile_dataset, run_fastft_on_dataset
 from repro.experiments.profiles import DEFAULT, RunProfile
 from repro.experiments.reporting import format_table

@@ -9,7 +9,7 @@ the traceability showcase.
 
 from __future__ import annotations
 
-from repro.core.tracing import feature_importance_table
+from repro.core.traceability import feature_importance_table
 from repro.experiments.harness import load_profile_dataset, run_fastft_on_dataset
 from repro.experiments.profiles import DEFAULT, RunProfile
 from repro.experiments.reporting import format_table

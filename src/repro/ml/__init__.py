@@ -35,7 +35,7 @@ from repro.ml.model_selection import KFold, StratifiedKFold, cross_val_score, tr
 from repro.ml.mutual_info import mutual_info_features, mutual_info_with_target
 from repro.ml.neighbors import KNeighborsClassifier, KNeighborsRegressor
 from repro.ml.preprocessing import LabelEncoder, MinMaxScaler, RobustClipper, StandardScaler
-from repro.ml.split_engine import ENGINE_NAMES, NaiveEngine, PresortEngine, SplitEngine, resolve_engine
+from repro.ml.split_engine import PresortEngine, SplitEngine
 from repro.ml.svm import LinearSVMClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
@@ -87,8 +87,5 @@ __all__ = [
     "DownstreamEvaluator",
     "default_model_for_task",
     "SplitEngine",
-    "NaiveEngine",
     "PresortEngine",
-    "ENGINE_NAMES",
-    "resolve_engine",
 ]

@@ -25,6 +25,7 @@ from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.metrics import f1_score, one_minus_rae, roc_auc_score
 from repro.ml.model_selection import cross_val_score
 from repro.ml.preprocessing import sanitize_features
+from repro.ml.split_engine import PresortEngine
 
 __all__ = ["DownstreamEvaluator", "default_model_for_task", "default_metric_for_task", "TASKS"]
 
@@ -36,24 +37,18 @@ def default_model_for_task(
     n_estimators: int = 10,
     max_depth: int | None = 8,
     seed: int | None = 0,
-    split_engine: str = "presort",
 ) -> BaseEstimator:
     """The paper-lineage default downstream model (random forest) per task.
 
-    The oracle defaults to the presorted split engine — it produces trees
-    and predictions bit-identical to the naive reference
-    (:mod:`repro.ml.split_engine`), only faster.
+    The template holds no split-engine instance (each fit makes its own
+    presort engine), so its pickled bytes, and with them the
+    :class:`~repro.ml.cache.CachedEvaluator` fingerprint, are the same in
+    every process.
     """
     if task == "regression":
-        return RandomForestRegressor(
-            n_estimators=n_estimators, max_depth=max_depth, seed=seed,
-            split_engine=split_engine,
-        )
+        return RandomForestRegressor(n_estimators=n_estimators, max_depth=max_depth, seed=seed)
     if task in ("classification", "detection"):
-        return RandomForestClassifier(
-            n_estimators=n_estimators, max_depth=max_depth, seed=seed,
-            split_engine=split_engine,
-        )
+        return RandomForestClassifier(n_estimators=n_estimators, max_depth=max_depth, seed=seed)
     raise ValueError(f"Unknown task {task!r}; expected one of {TASKS}")
 
 
@@ -82,9 +77,6 @@ class DownstreamEvaluator:
         ``metric(y_true, y_pred_or_score) -> float``, higher is better.
     n_splits:
         CV folds (the paper uses 5; tests shrink this for speed).
-    engine:
-        Split engine for the default random forest (``"presort"`` or
-        ``"naive"``); ignored when an explicit ``model`` is given.
     cv_jobs:
         Worker processes for fold-parallel CV (``1`` = serial, ``-1`` =
         all cores). Scores are identical to serial; under parallelism
@@ -92,9 +84,8 @@ class DownstreamEvaluator:
         pool wall time), so the Table II time breakdown stays meaningful.
     """
 
-    # Class-level backstops so evaluators pickled before these knobs
-    # existed (old session checkpoints) resume with serial behavior.
-    engine = "presort"
+    # Class-level backstop so evaluators pickled before this knob existed
+    # (old session checkpoints) resume with serial behavior.
     cv_jobs = 1
     # Observability (repro.obs): attached by SearchSession.set_tracer;
     # process-local, dropped on pickling (the class attr is the fallback
@@ -108,7 +99,6 @@ class DownstreamEvaluator:
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
         n_splits: int = 5,
         seed: int | None = 0,
-        engine: str = "presort",
         cv_jobs: int = 1,
     ) -> None:
         if task not in TASKS:
@@ -118,15 +108,10 @@ class DownstreamEvaluator:
         if cv_jobs < 1 and cv_jobs != -1:
             raise ValueError("cv_jobs must be >= 1 or -1 (all cores)")
         self.task = task
-        self.model = (
-            model
-            if model is not None
-            else default_model_for_task(task, seed=seed, split_engine=engine)
-        )
+        self.model = model if model is not None else default_model_for_task(task, seed=seed)
         self.metric = metric if metric is not None else default_metric_for_task(task)
         self.n_splits = n_splits
         self.seed = seed
-        self.engine = engine
         self.cv_jobs = cv_jobs
         self.n_calls = 0
         self.total_time = 0.0
@@ -165,7 +150,7 @@ class DownstreamEvaluator:
             self.total_time += elapsed
         tracer = self.tracer
         if tracer is not None:
-            labels = {"engine": self.engine, "task": self.task}
+            labels = {"engine": PresortEngine.name, "task": self.task}
             tracer.count("eval.calls", labels=labels)
             tracer.observe("eval.call_seconds", elapsed, labels=labels)
             for fold_time in fold_times:

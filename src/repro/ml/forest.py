@@ -19,7 +19,7 @@ __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
 
 class _BaseForest(BaseEstimator):
     # Backstop for forests pickled before the split-engine layer existed.
-    split_engine: "str | SplitEngine" = "naive"
+    split_engine: "SplitEngine | None" = None
 
     def __init__(
         self,
@@ -30,7 +30,7 @@ class _BaseForest(BaseEstimator):
         max_features: int | float | str | None = "sqrt",
         bootstrap: bool = True,
         seed: int | None = 0,
-        split_engine: "str | SplitEngine" = "naive",
+        split_engine: "SplitEngine | None" = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")

@@ -11,6 +11,7 @@ the estimator template and the (seeded) splitter.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import time
@@ -125,11 +126,13 @@ def train_test_split(
     return out
 
 
-# The dataset for the cross_val_score call in flight. Fold payloads carry
-# only index arrays: serial folds and fork-started workers read X/y from
-# here (workers inherit the parent's memory), instead of re-pickling the
-# full matrix once per fold per oracle call.
-_shared_data: tuple[np.ndarray, np.ndarray] | None = None
+# Datasets of the fold-parallel cross_val_score calls in flight, keyed by
+# a per-call token (so concurrent calls in one process never read each
+# other's arrays). Fork-started workers inherit this mapping, so their fold
+# payloads carry only the token instead of re-pickling the full matrix
+# once per fold per oracle call. Serial folds get the arrays themselves.
+_shared_data: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_call_tokens = itertools.count()
 
 # Pickle-probe results memoized per estimator template (scorer identity
 # checked), so a search making thousands of oracle calls probes — and, on
@@ -167,13 +170,13 @@ def _fit_score_fold(payload: tuple) -> tuple[float, float]:
 
     Module-level so a process pool can pickle it; also the single code
     path the serial loop uses, which is what makes fold-parallel results
-    deterministic and identical to serial ones. ``data`` is ``None``
-    whenever the arrays are reachable via ``_shared_data`` (serial calls,
-    fork workers); spawn-started workers re-import this module and need
-    X/y shipped in the payload.
+    deterministic and identical to serial ones. ``data`` is either the
+    ``(X, y)`` pair itself (serial calls, and spawn-started workers, which
+    re-import this module) or the call's token into ``_shared_data``
+    (fork-started workers).
     """
     estimator, data, train, test, scorer, use_proba = payload
-    X, y = _shared_data if data is None else data
+    X, y = _shared_data[data] if isinstance(data, int) else data
     start = time.perf_counter()
     model = clone(estimator)
     model.fit(X[train], y[train])
@@ -225,7 +228,6 @@ def cross_val_score(
         the worker), so callers can account oracle cost as summed compute
         rather than pool wall time.
     """
-    global _shared_data
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     folds = list(
@@ -235,32 +237,31 @@ def cross_val_score(
     )
 
     n_workers = _resolve_n_jobs(n_jobs, len(folds))
-    results: list[tuple[float, float]] | None = None
-    _shared_data = (X, y)
-    try:
-        if n_workers > 1 and _parallel_payload_ok(estimator, scorer):
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    if n_workers > 1 and _parallel_payload_ok(estimator, scorer):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            try:
-                ctx = multiprocessing.get_context("fork")
-                data = None  # workers fork below, inheriting _shared_data
-            except ValueError:  # platforms without fork
-                ctx = multiprocessing.get_context("spawn")
-                data = (X, y)
-            payloads = [
-                (estimator, data, train, test, scorer, use_proba)
-                for train, test in folds
-            ]
+        token = next(_call_tokens)
+        try:
+            ctx = multiprocessing.get_context("fork")
+            data = token  # workers fork below, inheriting _shared_data
+        except ValueError:  # platforms without fork
+            ctx = multiprocessing.get_context("spawn")
+            data = (X, y)
+        payloads = [
+            (estimator, data, train, test, scorer, use_proba) for train, test in folds
+        ]
+        _shared_data[token] = (X, y)
+        try:
             with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
                 results = list(pool.map(_fit_score_fold, payloads))
-        if results is None:
-            results = [
-                _fit_score_fold((estimator, None, train, test, scorer, use_proba))
-                for train, test in folds
-            ]
-    finally:
-        _shared_data = None
+        finally:
+            del _shared_data[token]
+    else:
+        results = [
+            _fit_score_fold((estimator, (X, y), train, test, scorer, use_proba))
+            for train, test in folds
+        ]
 
     scores = np.asarray([score for score, _ in results], dtype=float)
     if return_fold_times:

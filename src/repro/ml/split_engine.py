@@ -1,112 +1,33 @@
-"""Split-engine strategies: the hot path of the downstream oracle.
+"""Split search: the hot path of the downstream oracle.
 
 The oracle A(F, y) spends nearly all of its time fitting random forests,
 and a CART fit spends nearly all of *its* time finding the best split per
 node. This module isolates that search behind a strategy interface so the
-tree builder (:mod:`repro.ml.tree`) stays criterion-agnostic and the
-algorithm can be swapped without touching tree/forest semantics:
+tree builder (:mod:`repro.ml.tree`) stays criterion-agnostic.
 
-``NaiveEngine``
-    The reference implementation: per node, per candidate feature, a
-    stable ``argsort`` of the node's values followed by a cumulative-sum
-    scan — O(m log m) per feature per node, exactly the original code.
+:class:`PresortEngine` is the one engine the package ships. It argsorts
+every feature **once per fit**. At each node, the node's sorted order per
+feature is recovered by filtering the presorted index matrix through a
+boolean membership mask, and all candidate features are scored in one
+vectorized cumulative scan. Because the tree builder keeps node index
+sets in ascending row order, a stable per-node argsort breaks ties by row
+index, which is precisely the order the filtered presort yields.
 
-``PresortEngine``
-    Argsort every feature **once per fit**. At each node, the node's
-    sorted order per feature is recovered by filtering the presorted
-    index matrix through a boolean membership mask, and all candidate
-    features are scored in one vectorized cumulative scan. Because the
-    tree builder keeps node index sets in ascending row order, a stable
-    per-node argsort breaks ties by row index — which is precisely the
-    order the filtered presort yields, so the engines produce
-    **bit-identical** trees, thresholds, importances and predictions.
-
-Both engines share the same per-position gain formulas (same numpy ops in
-the same order), so equality is exact, not approximate; the equivalence
-suite in ``tests/ml/test_split_engine.py`` asserts it array-for-array.
+The seed's per-node-argsort engine lives on as a test oracle in
+``tests/reference/split_engine.py``. The two compute the same per-position
+gains with the same numpy operations in the same order, so their trees,
+thresholds, importances and predictions are **bit-identical**;
+``tests/ml/test_split_engine.py`` asserts it array-for-array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "SplitEngine",
-    "NaiveEngine",
-    "PresortEngine",
-    "resolve_engine",
-    "ENGINE_NAMES",
-]
+__all__ = ["SplitEngine", "PresortEngine", "resolve_engine"]
 
 _EPS = 1e-15
 _NO_SPLIT = (0.0, -1, 0.0)
-
-
-def _split_positions(x_sorted: np.ndarray, min_samples_leaf: int) -> np.ndarray:
-    """Valid split indices i (split between i-1 and i), honoring leaf size."""
-    n = len(x_sorted)
-    lo, hi = min_samples_leaf, n - min_samples_leaf
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    positions = np.arange(lo, hi)
-    distinct = x_sorted[positions - 1] < x_sorted[positions]
-    return positions[distinct]
-
-
-def _scan_gini(
-    x_sorted: np.ndarray, y_sorted: np.ndarray, min_samples_leaf: int, n_classes: int
-) -> tuple[float, float]:
-    """Best Gini split of one sorted feature: (gain, threshold) or (-inf, nan)."""
-    positions = _split_positions(x_sorted, min_samples_leaf)
-    if len(positions) == 0:
-        return -np.inf, np.nan
-    n = len(y_sorted)
-    onehot = np.zeros((n, n_classes), dtype=float)
-    onehot[np.arange(n), y_sorted] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-
-    left_counts = cum[positions - 1]
-    total = cum[-1]
-    right_counts = total - left_counts
-    n_left = positions.astype(float)
-    n_right = n - n_left
-
-    gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-    gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
-    parent = 1.0 - np.sum((total / n) ** 2)
-    gain = parent - (n_left * gini_left + n_right * gini_right) / n
-
-    best = int(np.argmax(gain))
-    i = positions[best]
-    return float(gain[best]), float(0.5 * (x_sorted[i - 1] + x_sorted[i]))
-
-
-def _scan_variance(
-    x_sorted: np.ndarray, y_sorted: np.ndarray, min_samples_leaf: int
-) -> tuple[float, float]:
-    """Best variance-reduction split of one sorted feature."""
-    positions = _split_positions(x_sorted, min_samples_leaf)
-    if len(positions) == 0:
-        return -np.inf, np.nan
-    n = len(y_sorted)
-    cum = np.cumsum(y_sorted)
-    cum2 = np.cumsum(y_sorted**2)
-
-    n_left = positions.astype(float)
-    n_right = n - n_left
-    sum_left = cum[positions - 1]
-    sum_right = cum[-1] - sum_left
-    sq_left = cum2[positions - 1]
-    sq_right = cum2[-1] - sq_left
-
-    var_left = sq_left / n_left - (sum_left / n_left) ** 2
-    var_right = sq_right / n_right - (sum_right / n_right) ** 2
-    parent = cum2[-1] / n - (cum[-1] / n) ** 2
-    gain = parent - (n_left * var_left + n_right * var_right) / n
-
-    best = int(np.argmax(gain))
-    i = positions[best]
-    return float(gain[best]), float(0.5 * (x_sorted[i - 1] + x_sorted[i]))
 
 
 class SplitEngine:
@@ -118,8 +39,6 @@ class SplitEngine:
     passes one engine instance to every tree, so per-fit scratch buffers
     are shared) but are not thread-safe.
     """
-
-    name = "?"
 
     def begin_fit(
         self,
@@ -166,11 +85,6 @@ class SplitEngine:
     def end_forest(self) -> None:
         """Drop forest-level state."""
 
-    def _scan(self, x_sorted: np.ndarray, y_sorted: np.ndarray) -> tuple[float, float]:
-        if self._criterion == "gini":
-            return _scan_gini(x_sorted, y_sorted, self._min_samples_leaf, self._n_classes)
-        return _scan_variance(x_sorted, y_sorted, self._min_samples_leaf)
-
     # Engines carry no fitted state between fits; pickling one (e.g. inside
     # a fitted tree that kept a reference) must not drag the training data
     # or scratch buffers along.
@@ -185,27 +99,8 @@ class SplitEngine:
         return state
 
 
-class NaiveEngine(SplitEngine):
-    """Reference implementation: per-node stable argsort per feature."""
-
-    name = "naive"
-
-    def best_split(
-        self, idx: np.ndarray, candidates: np.ndarray, node_y: np.ndarray
-    ) -> tuple[float, int, float]:
-        X = self._X
-        best_gain, best_feature, best_threshold = _NO_SPLIT
-        for f in candidates:
-            x = X[idx, f]
-            order = np.argsort(x, kind="stable")
-            gain, threshold = self._scan(x[order], node_y[order])
-            if gain > best_gain + _EPS:
-                best_gain, best_feature, best_threshold = gain, int(f), float(threshold)
-        return best_gain, best_feature, best_threshold
-
-
 class PresortEngine(SplitEngine):
-    """Presorted, fully vectorized split search (bit-identical to naive).
+    """Presorted, fully vectorized split search.
 
     Each feature is stable-argsorted at most **once per fit** (lazily, the
     first time a node samples it). A node's per-feature sorted index
@@ -223,6 +118,7 @@ class PresortEngine(SplitEngine):
     identical sorted orders, so the cutoff is purely a performance knob.
     """
 
+    # The ``engine`` label of the oracle's ``eval.*`` trace metrics.
     name = "presort"
 
     # Use the presort+filter path while m > n / _FILTER_FACTOR; smaller
@@ -422,7 +318,7 @@ class PresortEngine(SplitEngine):
         # per-position arrays below are therefore cheap slice views, and a
         # position's validity (left neighbor strictly smaller) becomes a
         # mask applied at the end — the gain values at valid positions are
-        # computed by exactly the naive engine's expressions.
+        # computed by exactly the reference engine's expressions.
         lo, hi = self._min_samples_leaf, m - self._min_samples_leaf
         if hi <= lo:
             return _NO_SPLIT
@@ -436,8 +332,8 @@ class PresortEngine(SplitEngine):
             # Binary fast path, inlined and allocation-free (one scratch
             # block). Class counts are small exact integers, so every
             # row's total is the same value (parent comes from row 0) and
-            # the integer cumsum matches the naive float one-hot cumsum
-            # bit for bit; each arithmetic step mirrors _scan_gini.
+            # the integer cumsum matches the reference's float one-hot
+            # cumsum bit for bit; each arithmetic step mirrors its Gini scan.
             F = self._scratch("bin", (8, k, p))
             cum1 = np.cumsum(y_sorted, axis=1, out=self._scratch("cum", (k, m), y_sorted.dtype))
             ones_left = cum1[:, lo - 1 : hi - 1]
@@ -481,7 +377,7 @@ class PresortEngine(SplitEngine):
         positions = best_pos.tolist()
         feats = candidates.tolist()
 
-        # Same tie-break as the naive candidate loop: first feature that is
+        # Same tie-break as a per-feature candidate loop: first feature that is
         # strictly better (by _EPS) than the best so far wins.
         best_gain, best_feature, best_threshold = _NO_SPLIT
         for j in range(k):
@@ -498,8 +394,8 @@ class PresortEngine(SplitEngine):
 
         Class counts are small exact integers (so every row's total is
         the same value and the parent term comes from row 0); the gain
-        expressions apply the same operations in the same order as
-        :func:`_scan_gini`, hence bit-identical values. The binary case
+        expressions apply the same operations in the same order as the
+        reference engine's Gini scan, hence bit-identical values. The binary case
         takes the inlined fast path in :meth:`best_split` instead.
         """
         n_left = self._pos_f[lo:hi]
@@ -519,8 +415,8 @@ class PresortEngine(SplitEngine):
         # Unlike class counts, running float sums depend on accumulation
         # order, and each row accumulates in its own sorted order — so the
         # per-row totals (and the parent term) must stay per-row to match
-        # the naive engine bit for bit. Scratch buffers only avoid
-        # allocations; every arithmetic step mirrors :func:`_scan_variance`.
+        # the reference engine bit for bit. Scratch buffers only avoid
+        # allocations; every arithmetic step mirrors its variance scan.
         k, p = y_sorted.shape[0], hi - lo
         s = self._scratch
         cum = np.cumsum(y_sorted, axis=1, out=s("vcum", y_sorted.shape))
@@ -552,31 +448,15 @@ class PresortEngine(SplitEngine):
         return np.subtract(parent, t1, out=t1)
 
 
-_ENGINES = {
-    NaiveEngine.name: NaiveEngine,
-    PresortEngine.name: PresortEngine,
-}
-ENGINE_NAMES = tuple(_ENGINES)
+def resolve_engine(engine: "SplitEngine | str | None") -> SplitEngine:
+    """The engine a fit runs on: ``engine`` itself, or a fresh presort engine.
 
-
-def resolve_engine(spec: "str | SplitEngine | type[SplitEngine] | None") -> SplitEngine:
-    """Turn an engine spec (name, instance, class or None) into an instance.
-
-    ``None`` resolves to the naive reference engine; instances pass
-    through unchanged so a forest can share one engine (and its scratch
-    buffers) across all of its trees.
+    ``None`` is the default. Estimators pickled by older builds may name
+    their engine with a string; every engine fits the same trees, so a
+    name resolves to the default too.
     """
-    if spec is None:
-        return NaiveEngine()
-    if isinstance(spec, SplitEngine):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, SplitEngine):
-        return spec()
-    if isinstance(spec, str):
-        try:
-            return _ENGINES[spec]()
-        except KeyError:
-            raise ValueError(
-                f"Unknown split engine {spec!r}; expected one of {ENGINE_NAMES}"
-            ) from None
-    raise TypeError(f"Cannot resolve a split engine from {spec!r}")
+    if isinstance(engine, SplitEngine):
+        return engine
+    if engine is None or isinstance(engine, str):
+        return PresortEngine()
+    raise TypeError(f"expected a SplitEngine instance or None, got {engine!r}")

@@ -3,10 +3,12 @@
 These trees are the workhorse of the downstream oracle: the paper's lineage
 (GRFG, FastFT) evaluates generated feature sets with a random forest, which
 is built on top of this module. The split search is an exact, sort-based scan
-(the classic CART algorithm) delegated to a pluggable
-:class:`~repro.ml.split_engine.SplitEngine` — ``"naive"`` re-sorts each
-feature per node (the reference), ``"presort"`` sorts once per fit and scans
-all candidate features vectorized; both produce bit-identical trees.
+(the classic CART algorithm) delegated to a
+:class:`~repro.ml.split_engine.SplitEngine`. Fits run on the presorted
+engine, which sorts each feature once per fit and scans all candidate
+features vectorized. ``split_engine`` takes an engine instance
+only so that a forest can share one engine with all of its trees, and so
+that tests can fit with the reference engine in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -67,10 +69,9 @@ class _BaseDecisionTree(BaseEstimator):
 
     # Split criterion the engine applies; set by subclasses.
     _criterion = "gini"
-    # Class-level backstop so estimators pickled before the engine layer
-    # existed (old session checkpoints) unpickle straight onto the
-    # reference behavior they were fitted with.
-    split_engine: "str | SplitEngine" = "naive"
+    # Class-level backstop for estimators pickled before the engine layer
+    # existed (old session checkpoints): they fit on the default engine.
+    split_engine: "SplitEngine | None" = None
 
     def __init__(
         self,
@@ -79,7 +80,7 @@ class _BaseDecisionTree(BaseEstimator):
         min_samples_leaf: int = 1,
         max_features: int | float | str | None = None,
         seed: int | None = None,
-        split_engine: "str | SplitEngine" = "naive",
+        split_engine: "SplitEngine | None" = None,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split

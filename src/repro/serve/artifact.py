@@ -113,7 +113,7 @@ class PipelineArtifact:
         """Bundle a :class:`FastFTResult` with a model fitted on ``T*(X)``.
 
         ``model`` defaults to the search's own downstream oracle template
-        (same forest size, depth, seed and split engine), fitted here on
+        (same forest size, depth and seed), fitted here on
         the transformed training data so the artifact predicts with the
         exact model family the search optimized for.
         """
@@ -128,7 +128,6 @@ class PipelineArtifact:
                 n_estimators=cfg.rf_estimators,
                 max_depth=cfg.rf_max_depth,
                 seed=cfg.seed,
-                split_engine=cfg.oracle_engine,
             )
         model.fit(result.plan.apply(X), y)
         manifest = {

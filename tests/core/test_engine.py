@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import FastFTConfig
 from repro.core.engine import FastFT, TimeBreakdown
-from repro.core.tracing import feature_importance_table, reward_peak_features
+from repro.core.traceability import feature_importance_table, reward_peak_features
 from repro.ml.evaluation import DownstreamEvaluator
 
 

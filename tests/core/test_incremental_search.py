@@ -1,11 +1,12 @@
-"""Bit-identity proofs for the arena inner loop (PR 5).
+"""Bit-identity proofs for the arena inner loop.
 
 The columnar-arena FeatureSpace, the incremental state/MI caches and the
 fused estimation passes all promise *exactly* the seed semantics — same
-bits, just less work. Each component is checked here against the naive
-reference it replaces, and the whole search is checked end to end:
-``inner_loop="arena"`` vs ``inner_loop="naive"`` must agree field for
-field on every step record, score repr and plan byte.
+bits, just less work. Each component is checked here against the
+from-scratch computation it replaces, and the whole search is checked end
+to end: :class:`SearchSession` and the seed inner loop kept in
+``tests/reference/session.py`` must agree field for field on every step
+record, score repr and plan byte.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from repro.core.session import SearchSession
 from repro.core.state import StateCache, describe_matrix
 from repro.ml.mutual_info import mutual_info_with_target
 from repro.ml.preprocessing import sanitize_features
+from tests.reference.session import ReferenceSession
 
 
-def _grown_space(rng, n=120, d=4, steps=5, backend="arena") -> FeatureSpace:
+def _grown_space(rng, n=120, d=4, steps=5) -> FeatureSpace:
     """A space grown the way a search grows one (ops + a mid-way prune)."""
     X = rng.normal(size=(n, d)) * np.exp(rng.normal(size=(n, d)))
-    space = FeatureSpace(X, backend=backend)
+    space = FeatureSpace(X)
     unary = ["square", "log", "tanh"]
     for step in range(steps):
         live = space.live_ids_view
@@ -183,13 +185,8 @@ class TestSessionArenaVsNaive:
             cv_splits=3, rf_estimators=4, max_clusters=3, mi_max_rows=64,
             seed=11,
         )
-        results = {}
-        for inner_loop in ("naive", "arena"):
-            session = SearchSession(
-                X, y, task, config=FastFTConfig(inner_loop=inner_loop, **kwargs)
-            )
-            results[inner_loop] = session.run()
-        naive, arena = results["naive"], results["arena"]
+        naive = ReferenceSession(X, y, task, config=FastFTConfig(**kwargs)).run()
+        arena = SearchSession(X, y, task, config=FastFTConfig(**kwargs)).run()
         assert repr(naive.base_score) == repr(arena.base_score)
         assert repr(naive.best_score) == repr(arena.best_score)
         assert naive.plan.to_json() == arena.plan.to_json()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pickle
 from dataclasses import asdict
 
 import numpy as np
@@ -116,3 +118,41 @@ class TestConfigVariantRoundtrip:
         assert restored.config.novelty_head_dims == (8, 1)
         assert isinstance(restored.config.predictor_head_dims, tuple)
         assert isinstance(restored.config.novelty_head_dims, tuple)
+
+
+class TestRemovedSwitches:
+    """Configs, result files and pickles written by builds that still had
+    the ``inner_loop`` and ``oracle_engine`` switches load without them."""
+
+    OLD_VALUES = [("arena", "presort"), ("naive", "naive")]
+
+    @pytest.mark.parametrize("inner_loop,oracle_engine", OLD_VALUES)
+    def test_config_from_jsonable(self, inner_loop, oracle_engine):
+        payload = dict(
+            FastFTConfig(seed=3).to_jsonable(),
+            inner_loop=inner_loop,
+            oracle_engine=oracle_engine,
+        )
+        restored = FastFTConfig.from_jsonable(payload)
+        assert restored == FastFTConfig(seed=3)
+        assert not hasattr(restored, "inner_loop")
+        assert not hasattr(restored, "oracle_engine")
+
+    @pytest.mark.parametrize("inner_loop,oracle_engine", OLD_VALUES)
+    def test_result_load(self, run_result, tmp_path, inner_loop, oracle_engine):
+        result, X = run_result
+        path = tmp_path / "run.json"
+        result.save(str(path))
+        payload = json.loads(path.read_text())
+        payload["config"].update(inner_loop=inner_loop, oracle_engine=oracle_engine)
+        path.write_text(json.dumps(payload))
+        restored = FastFTResult.load(str(path))
+        assert restored.config == result.config
+        assert restored.transform(X).tobytes() == result.transform(X).tobytes()
+
+    def test_pickled_config_drops_removed_fields(self):
+        cfg = FastFTConfig(seed=5)
+        vars(cfg).update(inner_loop="naive", oracle_engine="naive")
+        restored = pickle.loads(pickle.dumps(cfg))
+        assert restored == FastFTConfig(seed=5)
+        assert not {"inner_loop", "oracle_engine"} & set(vars(restored))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.operations import BINARY_OPERATIONS, UNARY_OPERATIONS
 from repro.core.sequence import FeatureSpace
+from tests.reference.sequence import DictFeatureSpace
 
 
 @pytest.fixture
@@ -106,10 +107,6 @@ class TestFeatureSpace:
         # Without sampling no generator is needed.
         assert fs.apply_binary("add", [0], [1])
 
-    def test_unknown_backend_rejected(self, rng):
-        with pytest.raises(ValueError, match="backend"):
-            FeatureSpace(rng.normal(size=(5, 2)), backend="sparse")
-
 
 class TestArenaBackend:
     """The columnar arena must behave exactly like the dict reference."""
@@ -117,7 +114,7 @@ class TestArenaBackend:
     @staticmethod
     def _pair(rng, n=40, d=2):
         X = rng.normal(size=(n, d))
-        return FeatureSpace(X, backend="arena"), FeatureSpace(X, backend="dict")
+        return FeatureSpace(X), DictFeatureSpace(X)
 
     def test_growth_across_multiple_doublings(self, rng):
         arena, reference = self._pair(rng)
@@ -158,8 +155,7 @@ class TestArenaBackend:
 
     def test_snapshot_after_prune_plan_equivalence(self, rng):
         X = rng.normal(size=(30, 3))
-        arena = FeatureSpace(X, backend="arena")
-        reference = FeatureSpace(X, backend="dict")
+        arena, reference = FeatureSpace(X), DictFeatureSpace(X)
         for fs in (arena, reference):
             mid = fs.apply_unary("square", [0])[0]
             top = fs.apply_binary("add", [mid], [1])[0]
@@ -191,7 +187,7 @@ class TestArenaBackend:
 
     def test_matrix_rejects_unallocated_fids(self, rng):
         """Regression: the gather path must never read uninitialized arena
-        slots for a never-allocated fid (dict backend raises KeyError)."""
+        slots for a never-allocated fid (the dict reference raises KeyError)."""
         arena, reference = self._pair(rng, d=3)  # capacity 8, fids 0-2 live
         for fs in (arena, reference):
             with pytest.raises(KeyError):
@@ -212,21 +208,46 @@ class TestArenaBackend:
         arena.apply_unary("square", [0])
         restored = pickle.loads(pickle.dumps(arena))
         assert restored.matrix().tobytes() == arena.matrix().tobytes()
-        assert restored.backend == "arena"
+        assert restored._arena is not None and "_columns" not in vars(restored)
         # A pre-arena pickle carries only the dict store; __setstate__
-        # adopts it as the dict backend and rebuilds the signature counts.
+        # adopts it into the arena and rebuilds the signature counts.
         reference.apply_unary("square", [0])
+        reference.prune([3, 1])  # pruned columns must survive the adoption
         legacy_state = {
             k: v
             for k, v in reference.__dict__.items()
-            if k not in ("_backend", "_arena", "_n_samples", "_sig_count")
+            if k not in ("_arena", "_n_samples", "_sig_count")
         }
         migrated = FeatureSpace.__new__(FeatureSpace)
         migrated.__setstate__(legacy_state)
-        assert migrated.backend == "dict"
+        assert "_columns" not in vars(migrated)
         assert migrated.n_samples == reference.n_samples
         assert migrated.matrix().tobytes() == reference.matrix().tobytes()
+        assert migrated.values(0).tobytes() == reference.values(0).tobytes()
         assert migrated._is_duplicate("square", (0,))
+        # It keeps growing like any arena space, in step with the reference.
+        for fs in (migrated, reference):
+            fs.apply_binary("add", [3], [1])
+            fs.apply_unary("tanh", [2])
+        assert migrated.live_ids == reference.live_ids
+        assert migrated.matrix().tobytes() == reference.matrix().tobytes()
+
+    def test_parent_format_states_adopt_onto_the_arena(self, rng):
+        """Spaces pickled by the build that still had two backends carry a
+        ``_backend`` tag, and the dict one its columns in ``_columns``."""
+        import copy
+
+        arena, reference = self._pair(rng, d=3)
+        for fs in (arena, reference):
+            fs.apply_unary("log", [1])
+        arena_state = dict(vars(arena), _backend="arena", _columns=None)
+        dict_state = dict(vars(reference), _backend="dict", _arena=None)
+        for state in (arena_state, dict_state):
+            migrated = FeatureSpace.__new__(FeatureSpace)
+            migrated.__setstate__(copy.deepcopy(state))
+            assert not {"_backend", "_columns"} & set(vars(migrated))
+            assert migrated.matrix().tobytes() == arena.matrix().tobytes()
+            assert migrated.apply_unary("tanh", [3]) == [4]
 
 
 class TestTransformationPlan:

@@ -49,6 +49,47 @@ def deterministic_history(result):
     return [r.deterministic_dict() for r in result.history]
 
 
+def make_parent_format(session: SearchSession, layout: str) -> None:
+    """Rewrite a live session's state into what an older build pickled.
+
+    ``"arena"`` and ``"naive"`` are the two inner-loop arms of the build
+    that still had the ``inner_loop`` and ``oracle_engine`` switches; the
+    naive arm kept its columns in a dict and built no caches.
+    ``"pre_arena"`` is a build from before the arena: dict columns, no
+    arena flags or caches, no sample count or signature counts, and a
+    plain list of novelty embeddings.
+    """
+    naive = layout != "arena"
+    vars(session.config).update(
+        inner_loop="naive" if naive else "arena",
+        oracle_engine="naive" if naive else "presort",
+    )
+    vars(session._evaluator)["engine"] = session.config.oracle_engine
+    session._evaluator.model.split_engine = session.config.oracle_engine
+    space = session._space
+    if not naive:
+        vars(session).update(_use_arena=True, _incremental_clustering=True)
+        vars(space).update(_backend="arena", _columns=None)
+        return
+    columns = {fid: space._arena[:, fid].copy() for fid in space._nodes}
+    vars(space).update(_backend="dict", _columns=columns, _arena=None)
+    vars(session).update(
+        _use_arena=False,
+        _incremental_clustering=False,
+        _state_cache=None,
+        _relevance_cache=None,
+        _clusterer=None,
+    )
+    if layout == "pre_arena":
+        for name in ("_use_arena", "_incremental_clustering", "_state_cache",
+                     "_relevance_cache", "_clusterer"):
+            del vars(session)[name]
+        for name in ("_backend", "_n_samples", "_sig_count"):
+            del vars(space)[name]
+        del vars(session.config)["inner_loop"]
+        session._embedding_history = [e.copy() for e in session._embedding_history.view()]
+
+
 class TestStepping:
     def test_iterator_protocol(self, problem):
         X, y = problem
@@ -164,6 +205,37 @@ class TestCheckpointResume:
         assert result.n_downstream_calls == uninterrupted.n_downstream_calls
         assert result.plan.expressions() == uninterrupted.plan.expressions()
         assert deterministic_history(result) == deterministic_history(uninterrupted)
+
+    @pytest.mark.parametrize("layout", ["arena", "naive", "pre_arena"])
+    def test_parent_format_checkpoint_resumes_bit_identical(self, problem, tmp_path, layout):
+        """A checkpoint written by an older build, taken mid-episode with the
+        φ/ψ components trained, adopts onto the arena path on resume and
+        lands on the uninterrupted result bit for bit."""
+        X, y = problem
+        uninterrupted = SearchSession(X, y, "classification", config=tiny_config()).run()
+
+        session = SearchSession(X, y, "classification", config=tiny_config())
+        for _ in range(4):  # episode 1, step 1: after the cold start
+            session.step()
+        assert session._step_in_episode == 1 and session._components_trained
+        make_parent_format(session, layout)
+        path = str(tmp_path / "parent.ckpt")
+        session.checkpoint(path)
+        del session
+
+        resumed = SearchSession.resume(path)
+        assert not {"_use_arena", "_incremental_clustering"} & set(vars(resumed))
+        assert not {"inner_loop", "oracle_engine"} & set(vars(resumed.config))
+        assert not {"_backend", "_columns"} & set(vars(resumed._space))
+        assert resumed._state_cache is not None and resumed._clusterer is not None
+        result = resumed.run()
+
+        assert repr(result.best_score) == repr(uninterrupted.best_score)
+        assert repr(result.base_score) == repr(uninterrupted.base_score)
+        assert result.n_downstream_calls == uninterrupted.n_downstream_calls
+        assert result.plan.to_json() == uninterrupted.plan.to_json()
+        assert deterministic_history(result) == deterministic_history(uninterrupted)
+        assert result.config == uninterrupted.config
 
     def test_checkpoint_before_start(self, problem, tmp_path):
         X, y = problem

@@ -44,6 +44,21 @@ class TestSpec:
         )
         assert restored.config == cfg
 
+    @pytest.mark.parametrize(
+        "inner_loop,oracle_engine", [("arena", "presort"), ("naive", "naive")]
+    )
+    def test_spec_with_removed_switches_loads(self, sweep, inner_loop, oracle_engine):
+        """Sweep specs written by builds that still had these config
+        switches load, minus the switches."""
+        d, _, _, spec = sweep
+        path = os.path.join(d, "spec.json")
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["config"].update(inner_loop=inner_loop, oracle_engine=oracle_engine)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        assert load_spec(d) == spec
+
     def test_uninitialized_dir_is_not_a_sweep(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not an initialized sweep"):
             load_spec(str(tmp_path))

@@ -105,3 +105,53 @@ class TestCrossValScore:
         cross_val_score(
             LogisticRegression(), X, y, scorer=check_continuous, n_splits=3, use_proba=True
         )
+
+    def test_concurrent_calls_in_one_process_keep_their_own_data(
+        self, binary_data, multiclass_data
+    ):
+        """Regression: serial folds used to read the dataset from a module
+        global that any other call overwrote and then reset to None. Call A
+        pauses in its scorer after fold 1 while call B runs on other data
+        in another thread; A's remaining folds must still see A's arrays."""
+        import threading
+
+        X_a, y_a = binary_data
+        X_b, y_b = multiclass_data
+        expected_a = cross_val_score(
+            LogisticRegression(), X_a, y_a, scorer=accuracy_score, n_splits=3
+        )
+        expected_b = cross_val_score(
+            LogisticRegression(), X_b, y_b, scorer=accuracy_score, n_splits=3
+        )
+        paused, resume = threading.Event(), threading.Event()
+
+        def pausing_scorer(y_true, y_pred):
+            if not paused.is_set():
+                paused.set()
+                assert resume.wait(timeout=60)
+            return accuracy_score(y_true, y_pred)
+
+        out = {}
+
+        def run_a():
+            try:
+                out["a"] = cross_val_score(
+                    LogisticRegression(), X_a, y_a, scorer=pausing_scorer, n_splits=3
+                )
+            except BaseException as exc:  # surfaced by the assertion below
+                out["a"] = exc
+
+        thread = threading.Thread(target=run_a)
+        thread.start()
+        try:
+            assert paused.wait(timeout=60)
+            out["b"] = cross_val_score(
+                LogisticRegression(), X_b, y_b, scorer=accuracy_score, n_splits=3
+            )
+        finally:
+            resume.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not isinstance(out["a"], BaseException), out["a"]
+        assert np.array_equal(out["a"], expected_a)
+        assert np.array_equal(out["b"], expected_b)

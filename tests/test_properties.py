@@ -37,6 +37,7 @@ from repro.core.operations import (  # noqa: E402
 from repro.core.sequence import FeatureSpace, TransformationPlan  # noqa: E402
 from repro.ml.cache import EvaluationCache  # noqa: E402
 from repro.serve.compile import compile_plan  # noqa: E402
+from tests.reference.sequence import DictFeatureSpace  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -148,8 +149,8 @@ def test_arena_matrix_byte_identical_to_column_stack_reference(data):
     X = rng.normal(size=(n, d)) * data.draw(
         st.sampled_from([1e-3, 1.0, 1e4]), label="scale"
     )
-    arena = FeatureSpace(X, backend="arena")
-    reference = FeatureSpace(X, backend="dict")
+    arena = FeatureSpace(X)
+    reference = DictFeatureSpace(X)
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
         op = data.draw(st.sampled_from(OPERATIONS))
         live = reference.live_ids
