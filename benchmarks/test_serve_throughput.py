@@ -14,11 +14,17 @@ transformation records a search produces. Two numbers matter on that path:
 2. **Server rows/sec.** End-to-end in-process serving throughput through
    the micro-batcher (request → batched compiled apply → response), the
    number a capacity plan would start from.
+3. **Model predict.** The served forest's ``predict_proba``: the seed's
+   per-tree loop (``tests.reference.ensemble_predict``) against the stacked
+   descent that routes every (tree, row) pair at once, on a 50-tree depth-8
+   forest at 1 and 256 rows, with the outputs asserted bit-identical.
 
-Timing notes: like the oracle-throughput bench, the ratio is best-of-two
-rounds per side, the report is saved before the floor is asserted, and one
-retry guards against background-process noise; the floor sits well below
-the typically-measured ratio because CI shares cores.
+Timing notes: the plan ratio is best-of-two rounds per side, with one
+retry against background-process noise. The model ratio is the median of
+paired ratios from interleaved rounds (the arm timed first alternates), so
+load that lands on one round moves one pair, not the verdict. The report
+is saved before any floor is asserted, and the floors sit well below the
+typically-measured ratios because CI shares cores.
 """
 
 from __future__ import annotations
@@ -29,9 +35,14 @@ import numpy as np
 import pytest
 
 from repro.core.sequence import FeatureNode, TransformationPlan
+from repro.ml.evaluation import default_model_for_task
 from repro.serve import PipelineArtifact, PipelineService, compile_plan
+from tests.reference.ensemble_predict import forest_predict_proba
 
 ROUNDS = 2
+MODEL_TREES = 50  # depth 8, the oracle's default depth
+MODEL_ROUNDS = 9
+MODEL_FLOOR = 5.0  # stacked vs per-tree predict_proba at 1 row
 
 
 def _wide_shared_plan(n_inputs: int = 6, width: int = 24) -> TransformationPlan:
@@ -81,6 +92,51 @@ def _best_of(fn, rounds: int = ROUNDS) -> tuple[float, np.ndarray]:
     return best, out
 
 
+def _per_call(fn, reps: int) -> float:
+    start = time.perf_counter()
+    for _ in range(reps):
+        fn()
+    return (time.perf_counter() - start) / reps
+
+
+def _model_predict_arm() -> tuple[list[str], float]:
+    """Per-tree vs stacked ``predict_proba``; returns report lines and the
+    1-row median paired ratio."""
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(1500, 12))
+    y = (X[:, 0] * X[:, 1] + np.sin(X[:, 2]) + 0.3 * rng.normal(size=len(X)) > 0).astype(int)
+    forest = default_model_for_task("classification", n_estimators=MODEL_TREES, seed=0)
+    forest.fit(X, y)
+    forest.predict_proba(X[:1])  # a server's first request builds the node table
+    lines = [
+        f"model predict_proba: {MODEL_TREES}-tree depth-{forest.max_depth} forest, "
+        f"per-tree loop vs stacked descent (median of {MODEL_ROUNDS} interleaved pairs)",
+        f"{'rows':>5s} {'per-tree ms':>12s} {'stacked ms':>11s} {'ratio':>8s} {'ratio IQR':>17s}",
+    ]
+    median_ratio = {}
+    for n_rows, reps in ((1, 40), (256, 4)):
+        rows = X[:n_rows]
+        np.testing.assert_array_equal(
+            forest.predict_proba(rows), forest_predict_proba(forest, rows), strict=True
+        )
+        arms = (lambda: forest_predict_proba(forest, rows), lambda: forest.predict_proba(rows))
+        pairs = []
+        for r in range(MODEL_ROUNDS):
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            times = {arm: _per_call(arms[arm], reps) for arm in order}
+            pairs.append((times[0], times[1]))
+        per_tree, stacked = (np.median([p[i] for p in pairs]) for i in (0, 1))
+        ratios = [a / b for a, b in pairs]
+        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+        median_ratio[n_rows] = float(median)
+        iqr = f"{q1:.1f}x-{q3:.1f}x"
+        lines.append(
+            f"{n_rows:5d} {per_tree * 1e3:12.3f} {stacked * 1e3:11.3f} {median:7.1f}x {iqr:>17s}"
+        )
+    lines.append("outputs bit-identical: True")
+    return lines, median_ratio[1]
+
+
 @pytest.mark.serial
 def test_serve_throughput(profile, save_report):
     # The plan shape stays representative in every profile; smoke only
@@ -90,6 +146,7 @@ def test_serve_throughput(profile, save_report):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(n_rows, plan.n_input_columns))
     compiled = compile_plan(plan)
+    model_lines, model_ratio = _model_predict_arm()
 
     def measure_and_report() -> float:
         interp_t, interp_out = _best_of(lambda: plan.apply(X))
@@ -126,6 +183,8 @@ def test_serve_throughput(profile, save_report):
             f"speedup: {speedup:.2f}x  (outputs byte-identical: True)",
             f"server : {served_rows} rows in {server_t:.3f}s over {n_requests} requests "
             f"-> {served_rows / server_t:,.0f} rows/sec (in-process micro-batcher)",
+            "",
+            *model_lines,
         ]
         save_report("serve_throughput", "\n".join(lines))
         return speedup
@@ -135,3 +194,6 @@ def test_serve_throughput(profile, save_report):
     if speedup < 1.3:
         speedup = measure_and_report()
     assert speedup >= 1.3, f"compiled plan too slow: {speedup:.2f}x vs interpreter"
+    assert model_ratio >= MODEL_FLOOR, (
+        f"stacked predict too slow at 1 row: {model_ratio:.1f}x vs the per-tree loop"
+    )

@@ -101,3 +101,10 @@ def check_array(X: Any) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains NaN or infinity; impute or clip first")
     return X
+
+
+def check_width(X: np.ndarray, n_features: int) -> np.ndarray:
+    """Reject a prediction matrix whose column count differs from the fitted one."""
+    if X.shape[1] != n_features:
+        raise ValueError(f"X has {X.shape[1]} columns, but the model was fitted on {n_features}")
+    return X

@@ -4,20 +4,49 @@ The random-forest classifier is the paper's default downstream model for
 classification and detection tasks; the regressor serves regression tasks.
 ``feature_importances_`` (mean impurity decrease) powers Table IV and the
 importance-based pruning inside the FastFT engine.
+
+Prediction walks all trees at once. On first predict after a fit, the
+forest stacks its trees into one node table
+(:class:`repro.ml.tree._NodeTable`) and caches it with every leaf's output
+row: class probabilities aligned to the forest's ``classes_`` (zero for a
+class a tree's bootstrap missed), or the regression value. One descent
+then routes every (tree, row) pair, in row chunks that bound the
+(trees × rows × outputs) working set. The results are bit-identical to
+predicting tree by tree: the classifier adds the trees' probability rows
+in tree order and then divides by the tree count (a pairwise ``np.sum``
+over the tree axis would change the last bits from 8 trees up), and the
+regressor fills the same C-contiguous (trees, rows) matrix that stacking
+per-tree predictions gave and takes the same ``mean(axis=0)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_array, check_X_y
+from repro.ml.base import (
+    BaseEstimator,
+    ClassifierMixin,
+    RegressorMixin,
+    check_array,
+    check_width,
+    check_X_y,
+)
 from repro.ml.split_engine import SplitEngine, resolve_engine
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _CachesNodes, _NodeTable
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
 
+# Predictions descend at most this many (tree, row, output) cells at a time.
+_CHUNK_CELLS = 1 << 16
 
-class _BaseForest(BaseEstimator):
+
+def _row_chunks(n_rows: int, cells_per_row: int):
+    step = max(1, _CHUNK_CELLS // cells_per_row)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+class _BaseForest(_CachesNodes, BaseEstimator):
     # Backstop for forests pickled before the split-engine layer existed.
     split_engine: "SplitEngine | None" = None
 
@@ -50,6 +79,7 @@ class _BaseForest(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_BaseForest":
         X, y = check_X_y(X, y)
+        self._nodes = None
         self._pre_fit(y)
         rng = np.random.default_rng(self.seed)
         n = X.shape[0]
@@ -84,6 +114,20 @@ class _BaseForest(BaseEstimator):
     def _pre_fit(self, y: np.ndarray) -> None:
         pass
 
+    def _leaf_values(self, table: _NodeTable) -> np.ndarray:
+        raise NotImplementedError
+
+    def _stacked(self, X: np.ndarray) -> tuple[np.ndarray, _NodeTable, np.ndarray]:
+        """Validated ``X`` plus the node table of all trees and its leaf
+        values, cached in ``_nodes`` until the next fit."""
+        if not self.estimators_:
+            raise RuntimeError("Forest is not fitted")
+        X = check_width(check_array(X), self.estimators_[0].n_features_)
+        if self._nodes is None:
+            table = _NodeTable([tree.tree_ for tree in self.estimators_])
+            self._nodes = (table, self._leaf_values(table))
+        return (X, *self._nodes)
+
 
 class RandomForestClassifier(_BaseForest, ClassifierMixin):
     """Majority-probability-vote forest of Gini CART trees."""
@@ -101,18 +145,25 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
             split_engine=engine,
         )
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.estimators_:
-            raise RuntimeError("Forest is not fitted")
-        X = check_array(X)
-        n_classes = len(self.classes_)
-        proba = np.zeros((X.shape[0], n_classes), dtype=float)
-        for tree in self.estimators_:
-            tree_proba = tree.predict_proba(X)
-            # Bootstrap samples may miss rare classes; align columns by label.
+    def _leaf_values(self, table: _NodeTable) -> np.ndarray:
+        # Leaf rows aligned to the forest's classes: a class missing from a
+        # tree's bootstrap gets a zero column.
+        values = np.zeros((len(table.feature), len(self.classes_)))
+        for tree, root in zip(self.estimators_, table.roots):
             cols = np.searchsorted(self.classes_, tree.classes_)
-            proba[:, cols] += tree_proba
-        proba /= len(self.estimators_)
+            values[root : root + len(tree.tree_.value), cols] = tree.tree_.value
+        return values
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        X, table, values = self._stacked(X)
+        n_trees = len(self.estimators_)
+        proba = np.empty((X.shape[0], values.shape[1]))
+        for rows in _row_chunks(X.shape[0], n_trees * values.shape[1]):
+            # A running sum adds the trees' rows in tree order, as the
+            # per-tree loop did; np.sum's order over the tree axis depends
+            # on the memory layout (pairwise where that axis is contiguous).
+            proba[rows] = np.cumsum(values[table.descend(X[rows])], axis=0)[-1]
+        proba /= n_trees
         return proba
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -132,9 +183,14 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
             split_engine=engine,
         )
 
+    def _leaf_values(self, table: _NodeTable) -> np.ndarray:
+        return np.concatenate([tree.tree_.value[:, 0] for tree in self.estimators_])
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.estimators_:
-            raise RuntimeError("Forest is not fitted")
-        X = check_array(X)
-        preds = np.stack([tree.predict(X) for tree in self.estimators_], axis=0)
+        X, table, values = self._stacked(X)
+        # The same C-contiguous (trees, rows) matrix as stacking the trees'
+        # predictions, so the same mean over it sums in the same order.
+        preds = np.empty((len(self.estimators_), X.shape[0]))
+        for rows in _row_chunks(X.shape[0], len(self.estimators_)):
+            preds[:, rows] = values[table.descend(X[rows])]
         return preds.mean(axis=0)

@@ -9,15 +9,34 @@ engine, which sorts each feature once per fit and scans all candidate
 features vectorized. ``split_engine`` takes an engine instance
 only so that a forest can share one engine with all of its trees, and so
 that tests can fit with the reference engine in ``tests/reference/``.
+
+Prediction has one kernel, :meth:`_NodeTable.descend`. A node table
+concatenates the nodes of one or more trees into flat arrays with global
+ids, and the descent moves every (tree, row) pair down one level per
+step with one gather-compare-select, so its Python overhead grows with
+the depth, not with the number of trees or rows. A tree builds its
+one-tree table on first predict; a forest builds one table for all its
+trees (:mod:`repro.ml.forest`). The table is a cache: pickles leave it
+out, so a fitted model pickles to the same bytes before and after a
+predict. ``predict`` raises ``ValueError`` when ``X`` does not have the
+fitted number of columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_array, check_X_y
+from repro.ml.base import (
+    BaseEstimator,
+    ClassifierMixin,
+    RegressorMixin,
+    check_array,
+    check_width,
+    check_X_y,
+)
 from repro.ml.split_engine import SplitEngine, resolve_engine
 
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
@@ -25,8 +44,24 @@ __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
 _LEAF = -1
 
 
+class _CachesNodes:
+    """Keeps the node table built on first predict in ``_nodes`` and out of
+    pickles: a fitted model pickles to the same bytes before and after a
+    predict, and pickles written before the table existed load unchanged.
+    Two threads that predict first at once both build it; either table is
+    the same.
+    """
+
+    _nodes = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_nodes", None)
+        return state
+
+
 @dataclass
-class _Tree:
+class _Tree(_CachesNodes):
     """Flat array representation of a fitted tree."""
 
     feature: list[int] = field(default_factory=list)
@@ -52,16 +87,59 @@ class _Tree:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Return the leaf value row for every sample (vectorized descent)."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            active = self.feature[node] != _LEAF
-            if not active.any():
-                break
-            idx = np.where(active)[0]
-            cur = node[idx]
-            go_left = X[idx, self.feature[cur]] <= self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[node]
+        if self._nodes is None:
+            self._nodes = _NodeTable([self])
+        return self.value[self._nodes.descend(X)[0]]
+
+
+class _NodeTable:
+    """The nodes of one or more fitted trees, concatenated into flat arrays.
+
+    Node ``i`` of tree ``t`` gets the global id ``roots[t] + i``. The left
+    and right children of node ``g`` are ``children[2 * g]`` and
+    ``children[2 * g + 1]``, as global ids. A leaf reads column 0 and is
+    its own child on both sides, so a (tree, row) pair that reached its
+    leaf stays there while pairs in deeper trees keep descending. The table
+    is built with whole-array operations, without a Python loop over nodes.
+    """
+
+    __slots__ = ("feature", "threshold", "children", "roots", "n_levels")
+
+    def __init__(self, trees: Sequence[_Tree]) -> None:
+        sizes = [len(tree.feature) for tree in trees]
+        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        feature = np.concatenate([tree.feature for tree in trees])
+        leaf = feature == _LEAF
+        children = np.stack(
+            [np.concatenate([tree.left for tree in trees]),
+             np.concatenate([tree.right for tree in trees])],
+            axis=1,
+        ) + np.repeat(self.roots, sizes)[:, None]
+        children[leaf] = np.flatnonzero(leaf)[:, None]
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.children = children.ravel()
+        # Depth of the deepest leaf: expand every tree's frontier level by level.
+        self.n_levels = 0
+        frontier = self.roots[~leaf[self.roots]]
+        while frontier.size:
+            self.n_levels += 1
+            frontier = children[frontier].ravel()
+            frontier = frontier[~leaf[frontier]]
+
+    def descend(self, X: np.ndarray) -> np.ndarray:
+        """Global leaf id of every (tree, row) pair, shape ``(trees, rows)``.
+
+        One gather-compare-select per level moves all pairs at once; for
+        finite inputs ``x > threshold`` is exactly "not left".
+        """
+        flat = np.ascontiguousarray(X).ravel()
+        row_start = np.arange(X.shape[0], dtype=np.int64) * X.shape[1]
+        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
+        for _ in range(self.n_levels):
+            go_right = flat[row_start + self.feature[node]] > self.threshold[node]
+            node = self.children[2 * node + go_right]
+        return node
 
 
 class _BaseDecisionTree(BaseEstimator):
@@ -220,7 +298,7 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.tree_ is None:
             raise RuntimeError("Tree is not fitted")
-        return self.tree_.apply(check_array(X))
+        return self.tree_.apply(check_width(check_array(X), self.n_features_))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         proba = self.predict_proba(X)
@@ -241,4 +319,4 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.tree_ is None:
             raise RuntimeError("Tree is not fitted")
-        return self.tree_.apply(check_array(X)).ravel()
+        return self.tree_.apply(check_width(check_array(X), self.n_features_)).ravel()

@@ -816,6 +816,7 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     504: "Gateway Timeout",
 }
 
@@ -824,7 +825,12 @@ _MAX_HEADER_LINES = 200
 
 
 class _BadRequest(Exception):
-    """Malformed HTTP framing; answered with 400 then the connection closes."""
+    """HTTP framing the server cannot read; answered with ``status`` (400
+    unless given), then the connection closes."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class _ClientGone(Exception):
@@ -1081,9 +1087,16 @@ class InferenceServer:
                 break
             name, sep, value = text.partition(":")
             if sep:
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                if name == "content-length" and headers.get(name, value) != value:
+                    raise _BadRequest("conflicting Content-Length headers")
+                headers[name] = value
         else:
             raise _BadRequest("too many header lines")
+        # Only Content-Length framing is read; a chunked body left unread
+        # would be parsed as the next request.
+        if "transfer-encoding" in headers:
+            raise _BadRequest("Transfer-Encoding is not supported", status=501)
         body = b""
         if "content-length" in headers:
             try:
@@ -1105,7 +1118,7 @@ class InferenceServer:
                 return
             except _BadRequest as exc:
                 try:
-                    await self._respond_json(writer, 400, {"error": str(exc)}, "other")
+                    await self._respond_json(writer, exc.status, {"error": str(exc)}, "other")
                 except _ClientGone:
                     pass
                 return

@@ -132,6 +132,33 @@ class TestRandomForestClassifier:
             RandomForestClassifier(n_estimators=0)
 
 
+class TestPredictInputWidth:
+    """Predict used to read the leading columns of a wider matrix and to
+    raise a bare IndexError (or succeed) on a narrower one."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            RandomForestClassifier(n_estimators=4, seed=0),
+            RandomForestRegressor(n_estimators=4, seed=0),
+            DecisionTreeClassifier(max_depth=4),
+            DecisionTreeRegressor(max_depth=4),
+            GradientBoostingClassifier(n_estimators=3),
+            GradientBoostingRegressor(n_estimators=3),
+        ],
+        ids=lambda m: type(m).__name__,
+    )
+    @pytest.mark.parametrize("width", [10, 3, 1])
+    def test_wrong_width_names_both_counts(self, model, width, binary_data):
+        X, y = binary_data
+        model.fit(X, y)
+        for method in ("predict", "predict_proba"):
+            if hasattr(model, method):
+                with pytest.raises(ValueError, match=rf"X has {width} columns.* fitted on 5"):
+                    getattr(model, method)(np.zeros((4, width)))
+                getattr(model, method)(X[:4])  # the fitted width still predicts
+
+
 class TestRandomForestRegressor:
     def test_fits_interaction(self, regression_data):
         X, y = regression_data

@@ -60,6 +60,21 @@ class TestArtifact:
         b = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert a["content_hash"] == b["content_hash"]
 
+    def test_predict_between_saves_keeps_the_hash(self, artifact, serve_problem, tmp_path):
+        # Predicting caches the forest's node table, which pickling drops.
+        X, _ = serve_problem
+        artifact.save(tmp_path / "a")
+        loaded = PipelineArtifact.load(tmp_path / "a")
+        loaded.predict(X)
+        loaded.predict_proba(X[:1])
+        loaded.save(tmp_path / "b")
+        assert (tmp_path / "a" / "model.pkl").read_bytes() == (
+            tmp_path / "b" / "model.pkl"
+        ).read_bytes()
+        a = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        b = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert a["content_hash"] == b["content_hash"]
+
     def test_tampered_plan_fails_verification(self, artifact, tmp_path):
         path = artifact.save(tmp_path / "art")
         plan_file = path / "plan.json"

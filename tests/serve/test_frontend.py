@@ -524,3 +524,68 @@ class TestClientDisconnectRegression:
             # The server keeps serving normal traffic afterwards.
             out = _post(server.url + "/predict", {"rows": X[:1].tolist()})
             assert out["predictions"] == [0.0]
+
+
+def _raw_exchange(address, request: bytes) -> bytes:
+    """Send raw bytes, return everything the server sends until it closes."""
+    with socket.create_connection(address, timeout=10) as conn:
+        conn.sendall(request)
+        received = []
+        while True:
+            data = conn.recv(65536)
+            if not data:
+                return b"".join(received)
+            received.append(data)
+
+
+class TestBodyFramingRegression:
+    """The request reader only knew Content-Length. A chunked body was read
+    as an empty one (400), then its chunk-size line as the next request
+    line (400 again); a repeated Content-Length used its last value."""
+
+    @staticmethod
+    def _head(*headers: bytes) -> bytes:
+        return b"\r\n".join(
+            [b"POST /predict HTTP/1.1", b"Host: test", b"Content-Type: application/json",
+             *headers, b"", b""]
+        )
+
+    def test_chunked_body_is_answered_501_once(self, artifact, serve_problem):
+        X, _ = serve_problem
+        payload = json.dumps({"rows": X[:1].tolist()}).encode()
+        body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(payload), payload)
+        with InferenceServer(artifact, port=0, max_wait_ms=0.0) as server:
+            reply = _raw_exchange(
+                server.address, self._head(b"Transfer-Encoding: chunked") + body
+            )
+            assert reply.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+            assert reply.count(b"HTTP/1.1 ") == 1  # then the connection closed
+            assert _post(server.url + "/predict", {"rows": X[:1].tolist()})["predictions"]
+
+    def test_conflicting_content_lengths_are_answered_400(self, artifact, serve_problem):
+        X, _ = serve_problem
+        payload = json.dumps({"rows": X[:1].tolist()}).encode()
+        with InferenceServer(artifact, port=0, max_wait_ms=0.0) as server:
+            reply = _raw_exchange(
+                server.address,
+                self._head(
+                    b"Content-Length: 5",
+                    b"Content-Length: %d" % len(payload),
+                    b"Connection: close",
+                )
+                + payload,
+            )
+            assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"conflicting Content-Length" in reply
+            assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_repeated_equal_content_length_is_accepted(self, artifact, serve_problem):
+        X, _ = serve_problem
+        payload = json.dumps({"rows": X[:1].tolist()}).encode()
+        length = b"Content-Length: %d" % len(payload)
+        with InferenceServer(artifact, port=0, max_wait_ms=0.0) as server:
+            reply = _raw_exchange(
+                server.address, self._head(length, length, b"Connection: close") + payload
+            )
+            assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert reply.count(b"HTTP/1.1 ") == 1
