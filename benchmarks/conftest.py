@@ -1,9 +1,12 @@
 """Benchmark plumbing: run each experiment once, save its report to disk.
 
-``pytest benchmarks/ --benchmark-only`` regenerates every table and figure of
-the paper at the scaled-down SMOKE/DEFAULT profiles and writes the formatted
-reports to ``benchmarks/reports/``. Pass ``--profile=default`` (or ``full``,
-hours of compute) to rescale.
+``pytest benchmarks/`` regenerates every table and figure of the paper at
+the scaled-down SMOKE/DEFAULT profiles and writes the formatted reports to
+the gitignored ``.benchmarks/reports/``, so a test run leaves the committed
+copies alone. ``pytest benchmarks/ --refresh-reports`` writes them to
+``benchmarks/reports/`` instead, to refresh the committed copies on
+purpose. Pass ``--profile=default`` (or ``full``, hours of compute) to
+rescale.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 REPORT_DIR = Path(__file__).resolve().parent / "reports"
+RUN_REPORT_DIR = Path(__file__).resolve().parent.parent / ".benchmarks" / "reports"
 
 
 def pytest_configure(config):
@@ -33,6 +37,13 @@ def pytest_addoption(parser):
         default="smoke",
         choices=["smoke", "default", "full"],
         help="Experiment scale profile (smoke | default | full)",
+    )
+    parser.addoption(
+        "--refresh-reports",
+        action="store_true",
+        default=False,
+        help="Write reports to the committed benchmarks/reports/ "
+        "(default: the gitignored .benchmarks/reports/)",
     )
 
 
@@ -66,13 +77,20 @@ def sized_profile(profile):
 
 
 @pytest.fixture(scope="session")
-def save_report():
+def report_dir(request) -> Path:
+    """Where this run writes its reports (see the module docstring)."""
+    refresh = request.config.getoption("--refresh-reports")
+    path = REPORT_DIR if refresh else RUN_REPORT_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+@pytest.fixture(scope="session")
+def save_report(report_dir):
     from repro.obs import run_metadata_header
 
-    REPORT_DIR.mkdir(exist_ok=True)
-
     def _save(name: str, report: str) -> None:
-        path = REPORT_DIR / f"{name}.txt"
+        path = report_dir / f"{name}.txt"
         # Perf numbers are only interpretable with the producing machine
         # attached; every report leads with the environment header.
         path.write_text(run_metadata_header() + "\n" + report + "\n")

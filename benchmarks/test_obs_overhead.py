@@ -12,7 +12,8 @@ real oracle would dwarf it), once bare and once under a
   guarantee against the recorded digests);
 - asserts traced steps/sec is within 5 % of untraced;
 - writes the sample trace and its ``repro trace`` report next to the
-  usual benchmark report, so CI uploads a real trace as an artifact.
+  usual benchmark report (the ``report_dir`` fixture), so CI uploads a
+  real trace as an artifact.
 
 Timing notes: wall-time ratio, contention-sensitive
 (``@pytest.mark.serial``); the overhead floor is skipped on 1-core
@@ -23,9 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.config import FastFTConfig
@@ -37,7 +36,6 @@ from repro.obs import TracingCallback, load_trace, render_trace_report
 from test_search_throughput import _search_problem, _StubOracle
 
 ROUNDS = 3
-REPORT_DIR = Path(__file__).resolve().parent / "reports"
 MAX_OVERHEAD = 0.05
 
 
@@ -81,11 +79,10 @@ def _run_arm(profile, X, y, trace_path: str | None):
 
 
 @pytest.mark.serial
-def test_obs_overhead(profile, save_report):
+def test_obs_overhead(profile, save_report, report_dir):
     cpu = os.cpu_count() or 1
     X, y = _search_problem()
-    REPORT_DIR.mkdir(exist_ok=True)
-    trace_path = REPORT_DIR / "obs_sample_trace.jsonl"
+    trace_path = report_dir / "obs_sample_trace.jsonl"
 
     def measure_and_report() -> float:
         bare_t, bare, _ = _run_arm(profile, X, y, None)
@@ -112,7 +109,7 @@ def test_obs_overhead(profile, save_report):
             and abs(buckets["estimation"] - traced_last.time.estimation) < 1e-6
             and abs(buckets["evaluation"] - traced_last.time.evaluation) < 1e-6
         )
-        report_path = REPORT_DIR / "obs_sample_trace_report.txt"
+        report_path = report_dir / "obs_sample_trace_report.txt"
         report_path.write_text(render_trace_report([str(trace_path)]))
 
         lines = [

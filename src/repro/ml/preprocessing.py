@@ -185,11 +185,10 @@ class KBinsDiscretizer(BaseEstimator):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
-        self.edges_ = []
         quantiles = np.linspace(0, 1, self.n_bins + 1)[1:-1]
-        for j in range(X.shape[1]):
-            edges = np.unique(np.quantile(X[:, j], quantiles))
-            self.edges_.append(edges)
+        # One call over axis 0 gives the per-column quantiles bit for bit.
+        per_column = np.quantile(X, quantiles, axis=0)
+        self.edges_ = [np.unique(per_column[:, j]) for j in range(X.shape[1])]
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:

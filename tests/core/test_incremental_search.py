@@ -17,7 +17,9 @@ import pytest
 from repro.core.clustering import (
     IncrementalClusterer,
     RelevanceCache,
+    _merge_average_linkage,
     cluster_features,
+    pairwise_cluster_distance,
 )
 from repro.core.config import FastFTConfig
 from repro.core.novelty import EmbeddingLog, NoveltyEstimator, novelty_distance
@@ -25,8 +27,8 @@ from repro.core.predictor import PerformancePredictor
 from repro.core.sequence import FeatureSpace
 from repro.core.session import SearchSession
 from repro.core.state import StateCache, describe_matrix
-from repro.ml.mutual_info import mutual_info_with_target
 from repro.ml.preprocessing import sanitize_features
+from tests.reference import clustering as reference
 from tests.reference.session import ReferenceSession
 
 
@@ -82,28 +84,63 @@ class TestStateCacheBitIdentity:
         assert sanitize_features(matrix).tobytes() == matrix.tobytes()
 
 
+def _target(space: FeatureSpace, task: str) -> np.ndarray:
+    base = space.values(0) + 0.5 * space.values(1)
+    if task == "regression":
+        return np.asarray(base).round(2)
+    if task == "detection":
+        return (base > np.quantile(base, 0.9)).astype(int)
+    return np.digitize(base, [-1.0, 0.0, 1.0])
+
+
 class TestIncrementalClusteringBitIdentity:
+    @pytest.mark.parametrize("task", ["classification", "regression", "detection"])
     @pytest.mark.parametrize("n_rows", [120, 600])  # below / above max_rows
-    def test_cluster_matches_reference_across_steps(self, rng, n_rows):
+    def test_cluster_matches_reference_across_steps(self, rng, task, n_rows):
         space = _grown_space(rng, n=n_rows)
-        y = (space.values(0) + space.values(1) > 0).astype(int)
+        y = _target(space, task)
         clusterer = IncrementalClusterer(
-            task="classification", max_clusters=3, n_bins=8, max_rows=256, seed=0
+            task=task, max_clusters=3, n_bins=8, max_rows=256, seed=0
         )
-        for _ in range(4):  # repeated calls exercise the cross-step caches
+        for step in range(6):  # repeated calls exercise the cross-step caches
             live = space.live_ids_view
-            expected = cluster_features(
-                sanitize_features(space.matrix()), y,
-                task="classification", max_clusters=3, n_bins=8,
-                max_rows=256, seed=0,
+            X = sanitize_features(space.matrix())
+            expected = reference.cluster_features(
+                X, y, task=task, max_clusters=3, n_bins=8, max_rows=256, seed=0
             )
             assert clusterer.cluster(space, y, live) == expected
-            # Grow and prune between calls so live order flips and new
-            # pairs appear (the ordered-pair MI cache must track both).
-            space.apply_unary("tanh", [live[0]])
+            # The distances themselves, to the bit: a merge rarely moves
+            # when one MI flips its last bit, so the partition alone
+            # would not notice a cache that ignores pair orientation.
+            base = reference.pairwise_cluster_distance(
+                X, y, task=task, n_bins=8, max_rows=256, seed=0
+            )
+            assert clusterer.base_distance(space, y, live).tobytes() == base.tobytes()
+            # Grow, then prune in reversed, relevance or shuffled order, so
+            # new pairs appear and old ones flip orientation (the ordered
+            # pair cache must track both).
+            space.apply_unary(["tanh", "square", "log"][step % 3], [live[0]])
+            space.apply_binary("multiply", [live[-1]], [live[1]], max_new=1, rng=rng)
             keep = space.live_ids
-            keep.reverse()
+            if step % 3 == 0:
+                keep.reverse()
+            elif step % 3 == 1:
+                rng.shuffle(keep)
+                keep = keep[:-1]
             space.prune(keep)
+
+    def test_caches_grow_past_their_capacity(self, rng):
+        # Feature ids far beyond the first allocation: the row-indexed code
+        # table and pair matrix must grow without losing cached entries.
+        space = _grown_space(rng, n=80, steps=9)
+        y = _target(space, "classification")
+        clusterer = IncrementalClusterer(max_clusters=4, seed=0)
+        live = space.live_ids
+        for fids in (live[:3], live, live[:3]):
+            expected = reference.cluster_features(
+                sanitize_features(space.matrix(fids)), y, max_clusters=4, seed=0
+            )
+            assert clusterer.cluster(space, y, fids) == expected
 
     def test_single_feature_returns_singleton(self, rng):
         X = rng.normal(size=(30, 1))
@@ -120,21 +157,77 @@ class TestIncrementalClusteringBitIdentity:
             clusterer.cluster(space, y, space.live_ids)
 
 
+class TestClusterFeaturesBitIdentity:
+    @pytest.mark.parametrize("task", ["classification", "regression", "detection"])
+    @pytest.mark.parametrize("n_rows", [40, 300])
+    def test_matches_reference(self, rng, task, n_rows):
+        space = _grown_space(rng, n=n_rows)
+        y = _target(space, task)
+        X = sanitize_features(space.matrix())
+        for kwargs in (
+            {},
+            {"max_clusters": 2},
+            {"distance_threshold": 0.5, "min_clusters": 1},
+            {"n_bins": 4, "max_rows": 64, "seed": 3},
+        ):
+            expected = reference.cluster_features(X, y, task=task, **kwargs)
+            assert cluster_features(X, y, task=task, **kwargs) == expected
+            D = reference.pairwise_cluster_distance(X, y, task=task)
+            assert pairwise_cluster_distance(X, y, task=task).tobytes() == D.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    def test_nan_distances_never_merge_first(self, rng):
+        # varsigma=0 with constant columns makes 0/0 distances: the seed's
+        # strict `<` scan never picks a NaN pair, and neither may argmin.
+        X = rng.normal(size=(60, 6))
+        X[:, [1, 3, 4]] = 2.0
+        y = (X[:, 0] > 0).astype(int)
+        for kwargs in ({}, {"max_clusters": 2}, {"distance_threshold": 1e9}):
+            expected = reference.cluster_features(X, y, varsigma=0.0, **kwargs)
+            assert cluster_features(X, y, varsigma=0.0, **kwargs) == expected
+
+
+class TestMergeAgainstDoubleLoop:
+    @pytest.mark.parametrize("seed", range(80))
+    def test_same_clusters(self, seed):
+        # Few distinct levels force exact ties between pairs (the first
+        # strict minimum of the row-major scan must win); a few symmetric
+        # NaN and inf cells are never picked.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 15))
+        base = rng.integers(0, [3, 1000][seed % 2], size=(d, d)) / 4.0
+        base = np.triu(base, 1) + np.triu(base, 1).T
+        for _ in range(seed % 4):
+            i, j = rng.choice(d, size=2, replace=False)
+            base[i, j] = base[j, i] = rng.choice([np.nan, np.inf])
+        threshold = ["auto", 0.0, 2.0, 1e9][seed % 4]
+        min_clusters = int(rng.integers(1, 4))
+        max_clusters = [None, 1, 2, 4][int(rng.integers(0, 4))]
+        expected = reference.merge_double_loop(
+            base,
+            float(np.median(base[~np.eye(d, dtype=bool)])) if threshold == "auto" else threshold,
+            min_clusters,
+            max_clusters,
+        )
+        assert _merge_average_linkage(base, threshold, min_clusters, max_clusters) == expected
+
+
 class TestRelevanceCacheBitIdentity:
-    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("task", ["classification", "regression", "detection"])
     def test_relevance_matches_batch_function(self, rng, task):
         space = _grown_space(rng)
-        base = space.values(0) + 0.5 * space.values(1)
-        y = (base > 0).astype(int) if task == "classification" else np.asarray(base)
+        y = _target(space, task)
         cache = RelevanceCache(task, n_bins=8)
-        for _ in range(3):
+        for step in range(4):
             live = space.live_ids_view
-            expected = mutual_info_with_target(
+            expected = reference.mutual_info_with_target(
                 sanitize_features(space.matrix()), y, task=task, n_bins=8
             )
             got = cache.relevance(space, y, live)
             assert got.tobytes() == expected.tobytes()
             space.apply_unary("square", [live[-1]])
+            if step == 1:  # several new features in one call
+                space.apply_unary("tanh", live[:3])
 
 
 class TestFusedEstimationBitIdentity:

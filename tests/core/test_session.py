@@ -70,6 +70,21 @@ def make_parent_format(session: SearchSession, layout: str) -> None:
     if not naive:
         vars(session).update(_use_arena=True, _incremental_clustering=True)
         vars(space).update(_backend="arena", _columns=None)
+        # That build cached MI in per-id dicts and kept the target's raw
+        # codes; the pair cache held entries for the current live set.
+        clusterer = vars(session._clusterer)
+        live = space.live_ids
+        for name in ("_table", "_counts", "_mi"):
+            del clusterer[name]
+        clusterer.update(
+            _y_codes=np.zeros(3, dtype=np.int64),
+            _codes={f: np.zeros(3, dtype=np.int64) for f in live},
+            _rel=dict.fromkeys(live, 0.0),
+            _pair_mi={(a, b): 0.0 for a in live for b in live},
+        )
+        relevance = vars(session._relevance_cache)
+        del relevance["_target"]
+        relevance["_y_codes"] = np.zeros(3, dtype=np.int64)
         return
     columns = {fid: space._arena[:, fid].copy() for fid in space._nodes}
     vars(space).update(_backend="dict", _columns=columns, _arena=None)

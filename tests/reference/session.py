@@ -7,7 +7,8 @@ way of doing each of these:
 
 - a dict-of-columns feature store (:class:`DictFeatureSpace`) and no caches;
 - every recluster and prune recomputes MI and the state statistics over
-  the full live matrix;
+  the full live matrix, with the seed's per-pair MI estimator and
+  double-loop merge (:mod:`tests.reference.clustering`);
 - the novelty score and the Fig 14 embedding each encode the sequence in
   a pass of their own.
 
@@ -23,13 +24,12 @@ import time
 
 import numpy as np
 
-from repro.core.clustering import cluster_features
 from repro.core.novelty import NoveltyEstimator
 from repro.core.sequence import FeatureSpace
 from repro.core.session import SearchSession
 from repro.core.state import describe_matrix
-from repro.ml.mutual_info import mutual_info_with_target
 from repro.ml.preprocessing import sanitize_features
+from tests.reference.clustering import cluster_features, mutual_info_with_target
 from tests.reference.sequence import DictFeatureSpace
 
 __all__ = ["ReferenceSession", "TwoPassNovelty"]
