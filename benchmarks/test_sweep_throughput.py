@@ -1,7 +1,7 @@
 """Sweep-throughput bench — serial vs process-pool multi-seed search.
 
 The paper's reporting protocol repeats every seeded search and averages;
-``repro.parallel`` exists so that protocol stops costing N× wall clock on
+``repro.core.parallel`` exists so that protocol stops costing N× wall clock on
 one core. This benchmark runs the same 4-seed sweep serially and through
 ``SearchOrchestrator`` workers, verifies the per-seed results are
 *bit-identical* (plan JSON and score reprs — the determinism contract that

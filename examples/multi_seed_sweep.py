@@ -10,9 +10,9 @@ sweep workflow end to end:
 2. *Parallelism*: the same call with ``n_jobs>1`` fans seeds across worker
    processes. Results are bit-identical to the serial sweep — the script
    proves it by comparing plan JSON and scores seed by seed.
-3. *Shared oracle cache*: workers share one cross-process evaluation
-   cache, merged back into the local ``EvaluationCache`` you pass; a
-   repeat sweep answers entirely from cache.
+3. *Oracle cache*: each pooled seed runs on its own evaluation cache,
+   seeded from the ``EvaluationCache`` you pass, and the entries it adds
+   merge back into yours; a repeat sweep answers entirely from cache.
 4. *Observability*: ``callbacks_factory`` attaches parent-side observers
    per seed; worker events arrive over a queue, so a ``HistoryCollector``
    works exactly as it does for an in-process session.
@@ -65,7 +65,7 @@ def main() -> None:
         collectors[label] = HistoryCollector()  # 4. parent-side observer
         return [collectors[label]]
 
-    cache = api.EvaluationCache()  # 3. receives the shared entries
+    cache = api.EvaluationCache()  # 3. receives every seed's new entries
     start = time.perf_counter()
     parallel = api.sweep(
         dataset.X, dataset.y, dataset.task,

@@ -12,9 +12,9 @@ Commands
 ``datasets``     list the 23 registered Table I datasets
 
 ``transform`` accepts several dataset names: they run as one batch
-(``--n-jobs`` schedules them across worker processes, sharing one oracle
-cache), and ``sweep`` repeats one dataset across ``--seeds`` the same way —
-per-seed results are bit-identical to serial runs.
+(``--n-jobs`` schedules them across worker processes), and ``sweep``
+repeats one dataset across ``--seeds`` the same way — per-seed results are
+bit-identical to serial runs.
 
 ``transform`` supports long-running searches: ``--checkpoint PATH`` writes a
 resumable session snapshot every episode, ``--time-budget SECONDS`` stops

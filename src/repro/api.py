@@ -45,10 +45,11 @@ not approximate.
 
 ``sweep`` and ``run_batch(n_jobs=...)`` are sugar over
 :class:`repro.core.parallel.SearchOrchestrator`: seeded sessions fan out
-across a process pool, workers share one
-:class:`~repro.ml.cache.SharedEvaluationCache`, and every per-seed result
-is bit-identical to the same seed run serially (see the determinism
-contract in :mod:`repro.core.parallel`).
+across a process pool, each job on its own oracle cache seeded from
+``cache=`` and merged back into it, and every per-seed result is
+bit-identical to the same seed run serially (see the determinism contract
+in :mod:`repro.core.parallel`; the process policy lives in
+:mod:`repro.procs`).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ import numpy as np
 
 from pathlib import Path
 
+from repro import procs
 from repro.core.callbacks import Callback, Checkpointer, TimeBudget
 from repro.core.config import FastFTConfig
 from repro.core.parallel import (
@@ -69,7 +71,7 @@ from repro.core.parallel import (
 )
 from repro.core.result import FastFTResult
 from repro.core.session import SearchSession, make_default_evaluator
-from repro.ml.cache import CachedEvaluator, EvaluationCache, SharedEvaluationCache
+from repro.ml.cache import CachedEvaluator, EvaluationCache
 from repro.ml.evaluation import DownstreamEvaluator
 from repro.serve.artifact import PipelineArtifact
 from repro.serve.registry import ArtifactRegistry
@@ -82,7 +84,6 @@ __all__ = [
     "sweep",
     "session",
     "EvaluationCache",
-    "SharedEvaluationCache",
     "CachedEvaluator",
     "SweepResult",
     "SearchOrchestrator",
@@ -181,12 +182,12 @@ def run_batch(
     *,
     config: FastFTConfig | None = None,
     callbacks_factory: Callable[[str], list[Callback]] | None = None,
-    cache: "EvaluationCache | SharedEvaluationCache | None" = None,
+    cache: EvaluationCache | None = None,
     time_budget: float | None = None,
     n_jobs: int = 1,
     **config_overrides: Any,
 ) -> dict[str, FastFTResult]:
-    """Run FastFT over several datasets, sharing one evaluation cache.
+    """Run FastFT over several datasets.
 
     ``jobs`` yields :class:`repro.data.Dataset` objects, mappings with
     ``X``/``y`` (plus optional ``name``/``task``/``feature_names``), or
@@ -197,9 +198,11 @@ def run_batch(
     ``n_jobs`` schedules whole jobs across a process pool (``-1`` = all
     cores). Results stay in input order and each job's result is
     bit-identical to a serial run; duplicate job names are rejected
-    *before* any work launches, on both paths. Under parallelism the
-    workers share one :class:`SharedEvaluationCache` (seeded from
-    ``cache`` and merged back into it on completion), and
+    *before* any work launches, on both paths. Serially, the jobs share
+    one evaluation cache (``cache``, or a fresh one). Under parallelism
+    each job runs on its own cache seeded from ``cache`` and its new
+    entries merge back into ``cache`` in input order, so jobs with
+    identical data may report more ``n_downstream_calls`` than serially;
     ``callbacks_factory`` observers receive relayed
     :class:`~repro.core.parallel.SessionView` events instead of the live
     session.
@@ -223,7 +226,7 @@ def sweep(
     config: FastFTConfig | None = None,
     feature_names: list[str] | None = None,
     callbacks_factory: Callable[[str], list[Callback]] | None = None,
-    cache: "EvaluationCache | SharedEvaluationCache | None" = None,
+    cache: EvaluationCache | None = None,
     time_budget: float | None = None,
     backend: str = "pool",
     sweep_dir: "str | Path | None" = None,
@@ -257,6 +260,7 @@ def sweep(
       deadline would break run-to-run determinism) — passing them
       with this backend raises.
     """
+    n_jobs = procs.resolve_workers(n_jobs)
     if backend == "jobfile":
         if callbacks_factory is not None:
             raise ValueError(
@@ -275,11 +279,6 @@ def sweep(
             )
         from repro.jobs import run_jobfile_sweep
 
-        local_cache = None
-        if cache is not None:
-            # SharedEvaluationCache has the same snapshot/merge surface as
-            # EvaluationCache, which is all run_jobfile_sweep touches.
-            local_cache = cache
         return run_jobfile_sweep(
             X,
             y,
@@ -288,11 +287,11 @@ def sweep(
             config=config,
             feature_names=feature_names,
             sweep_dir=None if sweep_dir is None else os.fspath(sweep_dir),
-            n_workers=(os.cpu_count() or 1) if n_jobs == -1 else max(1, n_jobs),
+            n_workers=n_jobs,
             lease_timeout=lease_timeout,
             max_retries=max_retries,
             allow_partial=allow_partial,
-            cache=local_cache,
+            cache=cache,
             **config_overrides,
         )
     if backend != "pool":

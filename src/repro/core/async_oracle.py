@@ -31,25 +31,28 @@ worker is terminated and respawned — drain never deadlocks on it.
 
 Cache discipline (PR 4)
 -----------------------
-A :class:`~repro.ml.cache.CachedEvaluator` front is honored on both arms:
-the content-signature cache is consulted at submission time and updated
-when real scores land, and a :class:`~repro.ml.cache.SharedEvaluationCache`
-is shipped to the workers so concurrent submissions share one memo. Cache
-hits can shrink ``n_downstream_calls`` — never change scores.
+A :class:`~repro.ml.cache.CachedEvaluator` front is honored on both arms,
+in the parent only: the content-signature cache is consulted at
+submission time and updated when real scores land. Workers run the raw
+evaluator and hold no cache. Cache hits can shrink ``n_downstream_calls``
+— never change scores.
+
+Workers are plain processes, one result pipe each, started the
+:mod:`repro.procs` way (``fork`` where available, else ``spawn``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection as mp_connection
-import pickle
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.cache import CachedEvaluator, SharedEvaluationCache
+from repro import procs
+from repro.ml.cache import CachedEvaluator
 
 __all__ = ["AsyncOracle", "EvalOutcome"]
 
@@ -78,7 +81,7 @@ class EvalOutcome:
     error: str | None = None
 
 
-def _worker_loop(evaluator_blob, y, shared_cache, tasks, results):
+def _worker_loop(evaluator, y, tasks, results):
     """Persistent worker: claim a ticket, evaluate, report.
 
     The claim message lets the parent enforce per-submission deadlines
@@ -94,9 +97,6 @@ def _worker_loop(evaluator_blob, y, shared_cache, tasks, results):
     ``multiprocessing.Queue`` writer dying while holding the queue's
     write lock would wedge every other worker's reports forever.
     """
-    evaluator = pickle.loads(evaluator_blob)
-    if shared_cache is not None:
-        evaluator = shared_cache.wrap(evaluator)
     while True:
         item = tasks.get()
         if item is None:
@@ -162,7 +162,7 @@ class AsyncOracle:
         self._tracer = None
 
         # Unwrap a cache front: the parent consults/updates the cache, the
-        # raw evaluator ships to the workers (a shared cache ships too).
+        # raw evaluator ships to the workers.
         self._cache = None
         self._fingerprint = b""
         inner = evaluator
@@ -173,38 +173,22 @@ class AsyncOracle:
         self._inner = inner
         # Workers must not nest process pools: a fold-parallel evaluator
         # is demoted to serial CV inside the pool (scores unchanged).
-        worker_eval = inner.for_worker() if hasattr(inner, "for_worker") else inner
-        self._shared_cache = self._cache if isinstance(self._cache, SharedEvaluationCache) else None
+        self._worker_eval = inner.for_worker() if hasattr(inner, "for_worker") else inner
 
         n_workers = int(n_workers)
-        if n_workers < 0:
-            n_workers = multiprocessing.cpu_count()
-        self.n_workers = n_workers
-        self._inline = n_workers == 0
+        self.n_workers = procs.resolve_workers(n_workers, name="n_workers") if n_workers else 0
+        if self.n_workers and not procs.picklable(
+            self._worker_eval,
+            "AsyncOracle: the evaluator",
+            "the inline reference arm (deferred, evaluated at reconcile)",
+        ):
+            self.n_workers = 0
+        self._inline = self.n_workers == 0
         if self._inline:
             return
-        try:
-            self._blob = pickle.dumps(worker_eval)
-        except Exception:
-            warnings.warn(
-                "AsyncOracle: evaluator is not picklable; degrading to the "
-                "inline reference arm (deferred, evaluated at reconcile)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._inline = True
-            self.n_workers = 0
-            return
-        # Fork-preferred, spawn-fallback — same discipline as
-        # repro.core.parallel: fork inherits the parent's numpy state
-        # cheaply; spawn ships the pickled payload through Process args.
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            ctx = multiprocessing.get_context("spawn")
-        self._ctx = ctx
-        self._tasks = ctx.Queue()
-        for _ in range(n_workers):
+        self._ctx = procs.context()
+        self._tasks = self._ctx.Queue()
+        for _ in range(self.n_workers):
             self._spawn_worker()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -231,7 +215,7 @@ class AsyncOracle:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(self._blob, self._y, self._shared_cache, self._tasks, send_conn),
+            args=(self._worker_eval, self._y, self._tasks, send_conn),
             daemon=True,
         )
         proc.start()

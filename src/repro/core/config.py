@@ -18,6 +18,8 @@ __all__ = ["FastFTConfig"]
 
 # Tuple-typed fields that JSON round-trips as lists.
 _TUPLE_FIELDS = ("predictor_head_dims", "novelty_head_dims")
+# Fields removed from the config; durable files that still carry them load.
+_REMOVED_FIELDS = ("inner_loop", "oracle_engine")
 
 
 @dataclass
@@ -184,12 +186,20 @@ class FastFTConfig:
     def from_jsonable(cls, payload: dict) -> "FastFTConfig":
         """Rebuild from :meth:`to_jsonable` output.
 
-        Unknown keys are dropped (a spec written by a newer build still
-        loads, minus the fields this build does not know about, and one
-        written by an older build may carry fields since removed), and the
-        tuple-typed head-dims fields are converted back from lists.
+        Fields since removed (``inner_loop``, ``oracle_engine``) are
+        dropped, so files written by older builds still load. Any other
+        unknown key raises a ``ValueError`` naming it: a file written by a
+        newer build must not run here with defaults in place of the fields
+        this build lacks.
+        The tuple-typed head-dims fields are converted back from lists.
         """
         known = {f.name for f in fields(cls)}
+        unknown = sorted(set(payload) - known - set(_REMOVED_FIELDS))
+        if unknown:
+            raise ValueError(
+                f"unknown FastFTConfig field(s): {', '.join(unknown)} (written "
+                "by a newer build?); refusing to load with defaults in their place"
+            )
         raw = {k: v for k, v in payload.items() if k in known}
         for key in _TUPLE_FIELDS:
             if key in raw and raw[key] is not None:

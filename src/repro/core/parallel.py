@@ -17,20 +17,20 @@ Determinism contract
 Each worker result is **bit-identical to the same seed run serially**: the
 worker executes exactly the serial code path (same config, same seeded RNG
 streams, same oracle), and numpy arithmetic does not depend on the process
-it runs in. The pool prefers the ``fork`` start method (workers inherit the
-job arrays; nothing is re-pickled per job) and falls back to ``spawn`` on
-platforms without ``fork`` (arrays ship inside the payload — same math,
-same results, more copying). Payloads that cannot be pickled at all demote
-the run to the serial path with a ``RuntimeWarning`` — the same discipline
-as ``cross_val_score(n_jobs=...)``.
+it runs in. :mod:`repro.procs` owns the process policy: the start method
+(``fork`` where available, else ``spawn``), the worker count, and the
+pickle probe — payloads that cannot be pickled demote the run to the
+serial path with a ``RuntimeWarning``, as ``cross_val_score(n_jobs=...)``
+does. The job arrays reach each worker once, at pool start-up.
 
-Workers share one oracle cache (:class:`repro.ml.cache.SharedEvaluationCache`,
-a manager-backed dict using the same content-signature keys as the local
-:class:`~repro.ml.cache.EvaluationCache`): scores are exact, so sharing can
-only reduce how many real CV runs a sweep pays for, never change its
-trajectory. ``n_downstream_calls`` consequently reports *actual* CV runs,
-which may be fewer than a cache-less serial run — every other field of the
-result is bit-identical.
+Each pooled job runs on its own oracle cache, seeded from the entries of
+the caller's ``cache=``, and returns the entries it added; the parent
+merges them into that cache in submission order. The oracle fingerprint
+includes the search seed, so sweep seeds never share cache keys: a pooled
+sweep equals the serial sweep on every field, ``n_downstream_calls``
+included. A serial :meth:`~SearchOrchestrator.run_batch` shares one cache
+across its jobs, so jobs with identical data and config may report fewer
+``n_downstream_calls`` serially than pooled; every other field matches.
 
 Observability crosses the process boundary over a queue: pass
 ``callbacks_factory`` and each worker relays its lifecycle events
@@ -42,8 +42,7 @@ lightweight :class:`SessionView` in place of the live session.
 
 from __future__ import annotations
 
-import os
-import pickle
+import contextlib
 import queue as queue_mod
 import threading
 import warnings
@@ -52,11 +51,12 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro import procs
 from repro.core.callbacks import Callback, CallbackList, TimeBudget
 from repro.core.config import FastFTConfig
 from repro.core.result import FastFTResult
 from repro.core.session import SearchSession, make_default_evaluator
-from repro.ml.cache import EvaluationCache, SharedEvaluationCache
+from repro.ml.cache import EvaluationCache
 
 __all__ = [
     "SearchOrchestrator",
@@ -256,70 +256,41 @@ class _EventPump(threading.Thread):
 
 # -- the worker ------------------------------------------------------------------
 
-# Job arrays for the orchestration calls in flight, keyed by a per-run
-# token plus the job label (the token keeps concurrent orchestrators in
-# one process from clobbering each other's entries). Fork-started workers
-# inherit this mapping, so payloads carry only the keys; spawn-started
-# workers re-import the module and need X/y shipped in the payload (see
-# cross_val_score for the same discipline).
-_shared_job_data: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-_run_token_counter = 0
-_run_token_lock = threading.Lock()
 
-
-def _next_run_token() -> int:
-    global _run_token_counter
-    with _run_token_lock:
-        _run_token_counter += 1
-        return _run_token_counter
-
-
-def _execute_job(payload: dict) -> tuple[str, FastFTResult]:
+def _run_job(spec: tuple, cache: EvaluationCache, callbacks: list[Callback]) -> FastFTResult:
     """Run one seeded search job; the single code path for serial and
     pooled execution, which is what makes pooled results bit-identical."""
-    label = payload["label"]
-    if payload["data"] is not None:
-        X, y = payload["data"]
-    else:
-        X, y = _shared_job_data[(payload["token"], label)]
-    config: FastFTConfig = payload["config"]
-    cache = payload["cache"]
-    callbacks: list[Callback] = []
-    if payload["time_budget"] is not None:
-        callbacks.append(TimeBudget(payload["time_budget"]))
-    if payload["events"] is not None:
-        callbacks.append(_EventRelay(payload["events"], label))
-    callbacks.extend(payload.get("local_callbacks") or [])
-    evaluator = (
-        cache.wrap(make_default_evaluator(payload["task"], config))
-        if cache is not None
-        else None
-    )
+    label, X, y, task, feature_names, config = spec
     session = SearchSession(
         X,
         y,
-        task=payload["task"],
+        task=task,
         config=config,
-        feature_names=payload["feature_names"],
-        evaluator=evaluator,
+        feature_names=feature_names,
+        evaluator=cache.wrap(make_default_evaluator(task, config)),
         callbacks=callbacks,
     )
-    return label, session.run()
+    return session.run()
 
 
-def _payload_ok(payload: dict) -> bool:
-    """Probe that a job payload crosses the process boundary."""
-    try:
-        pickle.dumps(payload)
-        return True
-    except Exception:
-        warnings.warn(
-            "parallel search needs picklable job payloads (config, "
-            "feature names, data); falling back to serial execution",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return False
+def _budget(time_budget: float | None) -> list[Callback]:
+    return [] if time_budget is None else [TimeBudget(time_budget)]
+
+
+def _pooled_job(job: tuple) -> tuple[FastFTResult, dict[str, float]]:
+    """Pool worker body: one job on its own cache, seeded from the caller's
+    entries. Returns the result and the cache entries the job added."""
+    data, seed_entries, time_budget, events = procs.worker_inputs()
+    label, task, feature_names, config = job
+    X, y = data[label]
+    cache = EvaluationCache()
+    cache.merge_entries(seed_entries)
+    callbacks = _budget(time_budget)
+    if events is not None:
+        callbacks.append(_EventRelay(events, label))
+    result = _run_job((label, X, y, task, feature_names, config), cache, callbacks)
+    added = {k: v for k, v in cache.snapshot_entries().items() if k not in seed_entries}
+    return result, added
 
 
 # -- results ---------------------------------------------------------------------
@@ -426,11 +397,10 @@ class SearchOrchestrator:
         Worker processes (``1`` = serial in-process, ``-1`` = all cores).
         The pool never exceeds the number of jobs.
     cache:
-        ``None`` (each run builds its own shared cache),
-        an :class:`~repro.ml.cache.EvaluationCache` (its entries seed the
-        shared cache and the shared entries merge back on completion), or a
-        :class:`~repro.ml.cache.SharedEvaluationCache` to reuse across
-        calls.
+        An :class:`~repro.ml.cache.EvaluationCache` whose entries seed
+        every job's oracle cache; the entries the jobs add merge back into
+        it on completion, in submission order. ``None`` gives every job a
+        fresh cache.
     callbacks_factory:
         ``factory(label) -> list[Callback]`` building parent-side observers
         per job (label = job name, or ``"seed=<s>"`` in a sweep). Under
@@ -445,13 +415,11 @@ class SearchOrchestrator:
         self,
         n_jobs: int = 1,
         *,
-        cache: "EvaluationCache | SharedEvaluationCache | None" = None,
+        cache: EvaluationCache | None = None,
         callbacks_factory: Callable[[str], list[Callback]] | None = None,
         time_budget: float | None = None,
     ) -> None:
-        if n_jobs < 1 and n_jobs != -1:
-            raise ValueError("n_jobs must be >= 1 or -1 (all cores)")
-        self.n_jobs = n_jobs
+        self.n_jobs = procs.resolve_workers(n_jobs)
         self.cache = cache
         self.callbacks_factory = callbacks_factory
         self.time_budget = time_budget
@@ -471,10 +439,11 @@ class SearchOrchestrator:
     ) -> SweepResult:
         """Run one seeded search per seed; see :class:`SweepResult`.
 
-        Every per-seed result is bit-identical to
-        ``api.search(X, y, task, config=replace(config, seed=s))`` run
-        serially (``n_downstream_calls`` aside — the shared cache may save
-        real CV runs).
+        Every per-seed result, ``n_downstream_calls`` included, is
+        bit-identical to ``api.search(X, y, task, config=replace(config,
+        seed=s), cache=c)`` run serially, where ``c`` is a copy of this
+        orchestrator's ``cache`` (a fresh ``EvaluationCache`` without
+        one), whatever ``n_jobs`` is.
         """
         seeds = [int(s) for s in seeds]
         if not seeds:
@@ -522,13 +491,9 @@ class SearchOrchestrator:
 
     # -- execution -------------------------------------------------------------
 
-    def _resolve_workers(self, n_tasks: int) -> int:
-        n = os.cpu_count() or 1 if self.n_jobs == -1 else self.n_jobs
-        return max(1, min(n, n_tasks))
-
     def _run_jobs(self, specs: list[tuple]) -> dict[str, FastFTResult]:
         """specs: (label, X, y, task, feature_names, config) per job."""
-        n_workers = self._resolve_workers(len(specs))
+        n_workers = procs.resolve_workers(self.n_jobs, len(specs))
         if n_workers > 1:
             results = self._run_pool(specs, n_workers)
             if results is not None:
@@ -538,117 +503,60 @@ class SearchOrchestrator:
     def _run_serial(self, specs: list[tuple]) -> dict[str, FastFTResult]:
         cache = self.cache if self.cache is not None else EvaluationCache()
         results: dict[str, FastFTResult] = {}
-        for label, X, y, task, feature_names, config in specs:
-            local_callbacks = (
-                list(self.callbacks_factory(label)) if self.callbacks_factory else []
-            )
-            payload = {
-                "label": label,
-                "data": (X, y),
-                "task": task,
-                "feature_names": feature_names,
-                "config": config,
-                "cache": cache,
-                "time_budget": self.time_budget,
-                "events": None,
-                "local_callbacks": local_callbacks,
-            }
-            results[label] = _execute_job(payload)[1]
+        for spec in specs:
+            callbacks = _budget(self.time_budget)
+            if self.callbacks_factory is not None:
+                callbacks.extend(self.callbacks_factory(spec[0]))
+            results[spec[0]] = _run_job(spec, cache, callbacks)
         return results
 
     def _run_pool(
         self, specs: list[tuple], n_workers: int
     ) -> dict[str, FastFTResult] | None:
         """Pooled execution; returns None to demote to the serial path."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        jobs = [(label, task, names, config) for label, _, _, task, names, config in specs]
+        if not procs.picklable(jobs, "parallel search: a job payload (config, feature names)"):
+            return None
+        data = {label: (np.asarray(X), np.asarray(y)) for label, X, y, *_ in specs}
+        seed_entries = self.cache.snapshot_entries() if self.cache is not None else {}
 
-        try:
-            ctx = multiprocessing.get_context("fork")
-            ship_data = False  # workers fork below, inheriting _shared_job_data
-        except ValueError:  # platforms without fork
-            ctx = multiprocessing.get_context("spawn")
-            ship_data = True
+        with contextlib.ExitStack() as stack:
+            # The Manager only carries the callbacks relay: its queue gives
+            # each worker its own connection, so a worker killed hard cannot
+            # wedge its siblings' events.
+            events, sinks = None, {}
+            if self.callbacks_factory is not None:
+                events = stack.enter_context(procs.context().Manager()).Queue()
+                sinks = {label: CallbackList(self.callbacks_factory(label)) for label in data}
 
-        # One manager per run hosts the shared cache and the event queue;
-        # it is shut down before returning unless the caller owns the cache.
-        manager = None
-        if isinstance(self.cache, SharedEvaluationCache):
-            shared = self.cache
-        else:
-            manager = multiprocessing.Manager()
-            shared = SharedEvaluationCache(manager=manager)
-            if self.cache is not None:
-                shared.seed_from(self.cache)
-
-        sinks: dict[str, CallbackList] = {}
-        events = None
-        if self.callbacks_factory is not None:
-            if manager is None:
-                manager = multiprocessing.Manager()
-            events = manager.Queue()
-            for label, *_ in specs:
-                sinks[label] = CallbackList(self.callbacks_factory(label))
-
-        token = _next_run_token()
-        payloads = []
-        for label, X, y, task, feature_names, config in specs:
-            payloads.append(
-                {
-                    "label": label,
-                    "token": token,
-                    "data": (np.asarray(X), np.asarray(y)) if ship_data else None,
-                    "task": task,
-                    "feature_names": feature_names,
-                    "config": config,
-                    "cache": shared,
-                    "time_budget": self.time_budget,
-                    "events": events,
-                    "local_callbacks": None,
-                }
-            )
-
-        try:
-            # The arrays are numpy (always picklable) and identical in kind
-            # across payloads, so one probe with the data stripped covers
-            # every pickling failure mode at O(1) cost.
-            probe = {k: v for k, v in payloads[0].items() if k != "data"}
-            if not _payload_ok(probe):
-                return None
-
-            for label, X, y, *_ in specs:
-                _shared_job_data[(token, label)] = (np.asarray(X), np.asarray(y))
             pump = None
             try:
-                with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-                    # map() submits every payload eagerly, so the workers
-                    # fork here — before the drain thread starts (a
+                inputs = (data, seed_entries, self.time_budget, events)
+                with procs.pool(n_workers, inputs) as pool:
+                    # map() submits every job eagerly, so the workers fork
+                    # here — before the drain thread starts (a
                     # multi-threaded fork is where deadlocks live).
-                    it = pool.map(_execute_job, payloads)
+                    it = pool.map(_pooled_job, jobs)
                     if events is not None:
                         pump = _EventPump(events, sinks)
                         pump.start()
                     ordered = list(it)
             finally:
-                for label, *_ in specs:
-                    _shared_job_data.pop((token, label), None)
                 if pump is not None:
                     pump.finish()
 
-            results = dict(ordered)
-            if events is not None:
-                # on_finish fires once per job, in submission order, after
-                # every relayed event has been dispatched.
-                for label, *_ in specs:
-                    view = pump.last_view.get(label)
-                    if view is not None:
-                        sinks[label].on_finish(view, results[label])
-                if pump.errors:
-                    raise pump.errors[0]
-
-            if isinstance(self.cache, EvaluationCache):
-                shared.merge_into(self.cache)
-            return results
-        finally:
-            if manager is not None:
-                manager.shutdown()
+        results = {}
+        for (label, *_), (result, added) in zip(specs, ordered):
+            results[label] = result
+            if self.cache is not None:
+                self.cache.merge_entries(added)
+        if pump is not None:
+            # on_finish fires once per job, in submission order, after
+            # every relayed event has been dispatched.
+            for label, sink in sinks.items():
+                view = pump.last_view.get(label)
+                if view is not None:
+                    sink.on_finish(view, results[label])
+            if pump.errors:
+                raise pump.errors[0]
+        return results

@@ -1,12 +1,11 @@
 """Durable append-only oracle cache for fleet workers on a shared filesystem.
 
 The in-process backends memoize downstream CV scores in RAM
-(:class:`repro.ml.cache.EvaluationCache`) or in a Manager process
-(:class:`~repro.ml.cache.SharedEvaluationCache`) — both die with their
-process. Fleet workers instead append every freshly computed score to a
-per-owner segment file under ``<sweep_dir>/cache/``, using the *same*
-content-signature keys, so a score any worker ever paid for survives every
-crash and seeds every restart. Scores are exact, so sharing changes how
+(:class:`repro.ml.cache.EvaluationCache`, one per pooled job), which dies
+with its process. Fleet workers instead append every freshly computed
+score to a per-owner segment file under ``<sweep_dir>/cache/``, using the
+*same* content-signature keys, so a score any worker ever paid for
+survives every crash and seeds every restart. Scores are exact, so sharing changes how
 many real CV runs a sweep costs — never its trajectory.
 
 Crash-safety of the log itself:

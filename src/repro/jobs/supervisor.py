@@ -30,7 +30,6 @@ run/gather phases open spans on an optional :class:`repro.obs.Tracer`.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -40,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro import procs
 from repro.core.config import FastFTConfig
 from repro.core.parallel import SweepResult, resolve_config
 from repro.jobs.cache import load_durable_entries
@@ -152,15 +152,13 @@ class JobFleetSupervisor:
         metrics=None,
         tracer=None,
     ) -> None:
-        if n_workers < 1 and n_workers != -1:
-            raise ValueError("n_workers must be >= 1 or -1 (all cores)")
+        self.n_workers = procs.resolve_workers(n_workers, name="n_workers")
         if metrics is None:
             from repro.obs import MetricsRegistry
 
             metrics = MetricsRegistry()
         self.sweep_dir = os.fspath(sweep_dir)
         self.spec = load_spec(sweep_dir)
-        self.n_workers = (os.cpu_count() or 1) if n_workers == -1 else n_workers
         self.max_retries = self.spec.max_retries if max_retries is None else max_retries
         self.poll_interval = poll_interval
         self.backoff_base = backoff_base
@@ -168,10 +166,7 @@ class JobFleetSupervisor:
         self.chaos_factory = chaos_factory
         self.metrics = metrics
         self.tracer = tracer
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            self._ctx = multiprocessing.get_context("spawn")
+        self._ctx = procs.context()
         self._procs: dict[int, tuple] = {}  # seed -> (Process, owner)
 
     # -- metrics shorthands -----------------------------------------------------

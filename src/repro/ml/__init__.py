@@ -13,7 +13,7 @@ code.
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, clone
 from repro.ml.boosting import GradientBoostingClassifier, GradientBoostingRegressor
-from repro.ml.cache import CachedEvaluator, EvaluationCache, SharedEvaluationCache
+from repro.ml.cache import CachedEvaluator, EvaluationCache
 from repro.ml.evaluation import DownstreamEvaluator, default_model_for_task
 from repro.ml.feature_selection import SelectKBest, VarianceThreshold, mrmr_select
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
@@ -45,7 +45,6 @@ __all__ = [
     "RegressorMixin",
     "clone",
     "EvaluationCache",
-    "SharedEvaluationCache",
     "CachedEvaluator",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",

@@ -8,16 +8,14 @@ re-validating the same candidates. Scores are memoized by a content
 signature of the evaluated matrix/target plus an evaluator fingerprint, so
 a hit is exact, not approximate.
 
-Three layers:
+Two layers:
 
 - :class:`EvaluationCache` — process-local dict, picklable, travels inside
-  session checkpoints.
-- :class:`SharedEvaluationCache` — the same key space over a
-  ``multiprocessing.Manager`` dict, so the worker processes of a
-  :class:`repro.core.parallel.SearchOrchestrator` sweep share one oracle
-  cache; merged back into a caller's local cache on completion.
+  session checkpoints. Each job of a pooled
+  :class:`repro.core.parallel.SearchOrchestrator` run gets its own,
+  seeded from the caller's entries, and hands back the entries it added.
 - :class:`CachedEvaluator` — the drop-in evaluator front that consults
-  either cache.
+  it.
 
 Historically these classes lived in :mod:`repro.api`, which still
 re-exports them (existing imports and pickled checkpoints keep working);
@@ -35,7 +33,7 @@ import numpy as np
 
 from repro.ml.evaluation import DownstreamEvaluator
 
-__all__ = ["EvaluationCache", "SharedEvaluationCache", "CachedEvaluator"]
+__all__ = ["EvaluationCache", "CachedEvaluator"]
 
 
 class EvaluationCache:
@@ -133,120 +131,6 @@ class EvaluationCache:
         return CachedEvaluator(evaluator, self)
 
 
-class SharedEvaluationCache:
-    """Cross-process oracle cache over a ``multiprocessing.Manager`` dict.
-
-    Same content-signature key space as :class:`EvaluationCache`, but the
-    entry store lives in a manager process, so every worker of a parallel
-    sweep/batch reads and writes one shared memo: a matrix evaluated by one
-    worker is a cache hit for every other worker. Scores are exact, so
-    sharing never perturbs search trajectories — only how many real CV runs
-    they cost.
-
-    Pickling ships only the dict *proxy* (the manager itself stays in the
-    creating process), which is exactly what lets the object ride a
-    ``ProcessPoolExecutor`` payload. ``hits``/``misses`` are therefore
-    per-process counters. Call :meth:`merge_into` to fold the shared
-    entries back into a local :class:`EvaluationCache`, and
-    :meth:`shutdown` to stop an owned manager.
-    """
-
-    def __init__(self, max_entries: int = 100_000, manager=None) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if manager is None:
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            self._owns_manager = True
-        else:
-            self._owns_manager = False
-        self.max_entries = max_entries
-        self._manager = manager
-        self._entries = manager.dict()
-        self.hits = 0
-        self.misses = 0
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # Workers need only the proxy; the manager is not picklable and its
-        # lifecycle belongs to the creating process. Fresh per-process
-        # hit/miss counters keep the stats honest about *this* process.
-        state["_manager"] = None
-        state["_owns_manager"] = False
-        state["hits"] = 0
-        state["misses"] = 0
-        return state
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    # The key derivation is shared verbatim with the local cache.
-    _digest_array = staticmethod(EvaluationCache._digest_array)
-    signature = EvaluationCache.signature
-
-    def get(self, key: str) -> float | None:
-        score = self._entries.get(key)
-        if score is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return score
-
-    def put(self, key: str, score: float) -> None:
-        if len(self._entries) >= self.max_entries and key not in self._entries:
-            try:
-                oldest = next(iter(self._entries.keys()))
-                self._entries.pop(oldest)
-            except (StopIteration, KeyError):  # racing eviction in a sibling
-                pass
-        self._entries[key] = float(score)
-
-    def snapshot_entries(self) -> dict[str, float]:
-        return dict(self._entries)
-
-    def seed_from(self, cache: EvaluationCache) -> None:
-        """Pre-populate the shared store from a local cache's entries."""
-        self._entries.update(cache.snapshot_entries())
-
-    def merge_entries(self, entries: "Mapping[str, float]") -> int:
-        """Absorb entries from another cache; returns how many were new.
-
-        Mirrors :meth:`EvaluationCache.merge_entries` so shared and local
-        caches are interchangeable to callers (e.g. the jobfile sweep
-        backend folding durable segments back into the caller's cache).
-        """
-        added = 0
-        for key, score in entries.items():
-            if key not in self._entries:
-                added += 1
-            self.put(key, score)
-        return added
-
-    def merge_into(self, cache: EvaluationCache) -> int:
-        """Fold the shared entries into a local cache; returns new entries."""
-        return cache.merge_entries(self.snapshot_entries())
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def wrap(self, evaluator: DownstreamEvaluator) -> "CachedEvaluator":
-        return CachedEvaluator(evaluator, self)
-
-    def shutdown(self) -> None:
-        """Stop the manager process (no-op if the manager was borrowed)."""
-        if self._owns_manager and self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-
-
 class CachedEvaluator:
     """Drop-in :class:`DownstreamEvaluator` front that consults a cache.
 
@@ -256,9 +140,7 @@ class CachedEvaluator:
     ``n_downstream_calls`` figures.
     """
 
-    def __init__(
-        self, evaluator: DownstreamEvaluator, cache: "EvaluationCache | SharedEvaluationCache"
-    ) -> None:
+    def __init__(self, evaluator: DownstreamEvaluator, cache: EvaluationCache) -> None:
         self.evaluator = evaluator
         self.cache = cache
         self._fingerprint = self._evaluator_fingerprint(evaluator)

@@ -11,16 +11,13 @@ the estimator template and the (seeded) splitter.
 
 from __future__ import annotations
 
-import itertools
-import os
-import pickle
 import time
-import warnings
 import weakref
 from typing import Callable, Iterator
 
 import numpy as np
 
+from repro import procs
 from repro.ml.base import BaseEstimator, clone
 
 __all__ = ["KFold", "StratifiedKFold", "train_test_split", "cross_val_score"]
@@ -126,14 +123,6 @@ def train_test_split(
     return out
 
 
-# Datasets of the fold-parallel cross_val_score calls in flight, keyed by
-# a per-call token (so concurrent calls in one process never read each
-# other's arrays). Fork-started workers inherit this mapping, so their fold
-# payloads carry only the token instead of re-pickling the full matrix
-# once per fold per oracle call. Serial folds get the arrays themselves.
-_shared_data: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_call_tokens = itertools.count()
-
 # Pickle-probe results memoized per estimator template (scorer identity
 # checked), so a search making thousands of oracle calls probes — and, on
 # an unpicklable payload, warns — once per evaluator, not once per call.
@@ -147,17 +136,9 @@ def _parallel_payload_ok(estimator: BaseEstimator, scorer: Callable) -> bool:
             return ok
     except (KeyError, TypeError):
         pass
-    try:
-        pickle.dumps((estimator, scorer))
-        ok = True
-    except Exception:
-        ok = False
-        warnings.warn(
-            "cross_val_score(n_jobs>1) needs a picklable estimator and "
-            "scorer; falling back to serial execution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    ok = procs.picklable(
+        (estimator, scorer), "cross_val_score(n_jobs>1): the estimator or scorer"
+    )
     try:
         _probe_cache[estimator] = (weakref.ref(scorer), ok)
     except TypeError:
@@ -165,18 +146,16 @@ def _parallel_payload_ok(estimator: BaseEstimator, scorer: Callable) -> bool:
     return ok
 
 
-def _fit_score_fold(payload: tuple) -> tuple[float, float]:
+def _fit_score_fold(inputs: tuple, fold: tuple) -> tuple[float, float]:
     """Fit and score one fold; returns (score, fit+score seconds).
 
-    Module-level so a process pool can pickle it; also the single code
-    path the serial loop uses, which is what makes fold-parallel results
-    deterministic and identical to serial ones. ``data`` is either the
-    ``(X, y)`` pair itself (serial calls, and spawn-started workers, which
-    re-import this module) or the call's token into ``_shared_data``
-    (fork-started workers).
+    The single code path for serial and pooled folds, which is what makes
+    fold-parallel results deterministic and identical to serial ones.
+    ``inputs`` is what every fold of one call shares: ``(estimator, X, y,
+    scorer, use_proba)``.
     """
-    estimator, data, train, test, scorer, use_proba = payload
-    X, y = _shared_data[data] if isinstance(data, int) else data
+    estimator, X, y, scorer, use_proba = inputs
+    train, test = fold
     start = time.perf_counter()
     model = clone(estimator)
     model.fit(X[train], y[train])
@@ -189,12 +168,8 @@ def _fit_score_fold(payload: tuple) -> tuple[float, float]:
     return float(score), time.perf_counter() - start
 
 
-def _resolve_n_jobs(n_jobs: int, n_folds: int) -> int:
-    if n_jobs == -1:
-        return min(os.cpu_count() or 1, n_folds)
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
-    return min(n_jobs, n_folds)
+def _pooled_fold(fold: tuple) -> tuple[float, float]:
+    return _fit_score_fold(procs.worker_inputs(), fold)
 
 
 def cross_val_score(
@@ -236,32 +211,13 @@ def cross_val_score(
         else KFold(n_splits, seed=seed).split(len(y))
     )
 
-    n_workers = _resolve_n_jobs(n_jobs, len(folds))
+    inputs = (estimator, X, y, scorer, use_proba)
+    n_workers = procs.resolve_workers(n_jobs, len(folds))
     if n_workers > 1 and _parallel_payload_ok(estimator, scorer):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        token = next(_call_tokens)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            data = token  # workers fork below, inheriting _shared_data
-        except ValueError:  # platforms without fork
-            ctx = multiprocessing.get_context("spawn")
-            data = (X, y)
-        payloads = [
-            (estimator, data, train, test, scorer, use_proba) for train, test in folds
-        ]
-        _shared_data[token] = (X, y)
-        try:
-            with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-                results = list(pool.map(_fit_score_fold, payloads))
-        finally:
-            del _shared_data[token]
+        with procs.pool(n_workers, inputs) as pool:
+            results = list(pool.map(_pooled_fold, folds))
     else:
-        results = [
-            _fit_score_fold((estimator, (X, y), train, test, scorer, use_proba))
-            for train, test in folds
-        ]
+        results = [_fit_score_fold(inputs, fold) for fold in folds]
 
     scores = np.asarray([score for score, _ in results], dtype=float)
     if return_fold_times:

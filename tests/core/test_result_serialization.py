@@ -150,6 +150,18 @@ class TestRemovedSwitches:
         assert restored.config == result.config
         assert restored.transform(X).tobytes() == result.transform(X).tobytes()
 
+    def test_result_load_rejects_unknown_key(self, run_result, tmp_path):
+        """Only the removed switches are dropped: a config key no build
+        ever had fails the load, naming the key."""
+        result, _ = run_result
+        path = tmp_path / "run.json"
+        result.save(str(path))
+        payload = json.loads(path.read_text())
+        payload["config"]["future_knob"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="future_knob"):
+            FastFTResult.load(str(path))
+
     def test_pickled_config_drops_removed_fields(self):
         cfg = FastFTConfig(seed=5)
         vars(cfg).update(inner_loop="naive", oracle_engine="naive")

@@ -59,6 +59,19 @@ class TestSpec:
             json.dump(payload, fh)
         assert load_spec(d) == spec
 
+    def test_spec_with_unknown_config_key_fails(self, sweep):
+        """A spec whose config carries a field this build does not know
+        (one written by a newer build) fails to load, naming the field."""
+        d, _, _, _ = sweep
+        path = os.path.join(d, "spec.json")
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["config"]["future_knob"] = 3
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match="future_knob"):
+            load_spec(d)
+
     def test_uninitialized_dir_is_not_a_sweep(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not an initialized sweep"):
             load_spec(str(tmp_path))

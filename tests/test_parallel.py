@@ -1,4 +1,4 @@
-"""repro.parallel: orchestrated sweeps/batches vs the serial reference.
+"""repro.core.parallel: orchestrated sweeps/batches vs the serial reference.
 
 The load-bearing assertions are the bit-identity ones: a sweep seed run
 through the process pool must reproduce the serial run of that seed
@@ -10,33 +10,15 @@ configs tiny.
 from __future__ import annotations
 
 import io
-import pickle
 
 import numpy as np
 import pytest
 
-from repro import api
+from repro import api, procs
 from repro.core import HistoryCollector, VerboseLogger
-from repro.core.parallel import SearchOrchestrator, SweepResult, _payload_ok
+from repro.core.parallel import SearchOrchestrator, SweepResult
 from repro.core.result import FastFTResult
-from repro.ml.cache import EvaluationCache, SharedEvaluationCache
-
-def _racing_cache_writer(shared, X, y, barrier, out) -> None:
-    """Child-process body for the concurrent-writer race test: evaluate
-    the same matrix through the shared cache, then hammer the same key
-    with redundant puts to widen the race window."""
-    from repro.core.config import FastFTConfig
-    from repro.core.session import make_default_evaluator
-
-    evaluator = shared.wrap(
-        make_default_evaluator("classification", FastFTConfig(cv_splits=2))
-    )
-    barrier.wait()
-    score = evaluator(X, y)
-    key = shared.signature(X, y, evaluator.fingerprint)
-    for _ in range(50):
-        shared.put(key, score)
-    out.put((key, repr(score)))
+from repro.ml.cache import EvaluationCache
 
 
 TINY = dict(
@@ -85,6 +67,7 @@ class TestSweep:
         parallel = api.sweep(X, y, "classification", seeds=[0, 1], n_jobs=2, **TINY)
         for seed in serial.seeds:
             assert _identity_fields(parallel[seed]) == _identity_fields(serial[seed])
+            assert parallel[seed].n_downstream_calls == serial[seed].n_downstream_calls
 
     def test_sweep_statistics_and_iteration(self, problem):
         X, y = problem
@@ -122,16 +105,27 @@ class TestSweep:
             api.sweep(X, y, seeds=[1, 1], **TINY)
         with pytest.raises(ValueError, match="n_jobs"):
             SearchOrchestrator(0)
+        with pytest.raises(ValueError, match="n_jobs"):
+            api.sweep(X, y, seeds=[0], n_jobs=0, backend="jobfile", **TINY)
 
-    def test_sweep_merges_shared_cache_into_local(self, problem):
+    def test_sweep_merges_job_caches_into_local(self, problem, monkeypatch):
+        import multiprocessing.managers
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a pooled sweep without callbacks_factory started a Manager")
+
+        monkeypatch.setattr(multiprocessing.managers.SyncManager, "start", refuse)
         X, y = problem
         cache = EvaluationCache()
         api.sweep(X, y, "classification", seeds=[0, 1], n_jobs=2, cache=cache, **TINY)
         assert len(cache) > 0
         # A rerun seeded from the merged cache answers the same oracle
-        # calls without any real CV work.
-        rerun = api.sweep(X, y, "classification", seeds=[0, 1], n_jobs=1, cache=cache, **TINY)
-        assert rerun.n_downstream_calls == 0
+        # calls without any real CV work, serially and in pooled jobs.
+        for n_jobs in (1, 2):
+            rerun = api.sweep(
+                X, y, "classification", seeds=[0, 1], n_jobs=n_jobs, cache=cache, **TINY
+            )
+            assert rerun.n_downstream_calls == 0
 
     def test_callbacks_factory_bridge_under_parallelism(self, problem):
         X, y = problem
@@ -210,117 +204,12 @@ class TestRunBatchParallel:
 
 
 class TestFallbackAndCache:
-    def test_unpicklable_payload_warns_and_falls_back(self):
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            assert _payload_ok({"bad": lambda: None}) is False
-        assert _payload_ok({"fine": np.arange(3)}) is True
-
     def test_forced_fallback_still_runs_and_matches_serial(self, problem, monkeypatch):
-        import repro.core.parallel as parallel_mod
-
         X, y = problem
         serial = api.sweep(X, y, "classification", seeds=[0], n_jobs=1, **TINY)
-        monkeypatch.setattr(parallel_mod, "_payload_ok", lambda payload: False)
+        monkeypatch.setattr(procs, "picklable", lambda *args: False)
         demoted = api.sweep(X, y, "classification", seeds=[0], n_jobs=2, **TINY)
         assert _identity_fields(demoted[0]) == _identity_fields(serial[0])
-
-    def test_shared_cache_roundtrip_and_pickle(self):
-        shared = SharedEvaluationCache(max_entries=4)
-        try:
-            key = shared.signature(np.arange(6.0).reshape(2, 3), np.array([0, 1]))
-            assert shared.get(key) is None and shared.misses == 1
-            shared.put(key, 0.5)
-            assert shared.get(key) == 0.5 and shared.hits == 1
-            assert len(shared) == 1
-
-            # Same key space as the local cache.
-            local = EvaluationCache()
-            assert local.signature(np.arange(6.0).reshape(2, 3), np.array([0, 1])) == key
-
-            # Pickling ships the proxy only; the clone reads the same store.
-            clone = pickle.loads(pickle.dumps(shared))
-            assert clone.get(key) == 0.5
-            assert clone.hits == 1 and clone.misses == 0  # fresh counters
-            clone.put("other", 1.0)
-            assert shared.get("other") == 1.0
-
-            # Eviction respects max_entries under the shared store too.
-            for i in range(6):
-                shared.put(f"k{i}", float(i))
-            assert len(shared) <= 4
-
-            merged = EvaluationCache()
-            assert shared.merge_into(merged) == len(shared)
-            seeded = SharedEvaluationCache(max_entries=8)
-            try:
-                seeded.seed_from(merged)
-                assert len(seeded) == len(merged)
-            finally:
-                seeded.shutdown()
-        finally:
-            shared.shutdown()
-
-    def test_shared_cache_wrap_skips_real_evaluation_on_hit(self, problem):
-        from repro.core.session import make_default_evaluator
-        from repro.core.config import FastFTConfig
-
-        X, y = problem
-        shared = SharedEvaluationCache()
-        try:
-            evaluator = shared.wrap(
-                make_default_evaluator("classification", FastFTConfig(cv_splits=3))
-            )
-            first = evaluator(X, y)
-            calls_after_first = evaluator.n_calls
-            second = evaluator(X, y)
-            assert second == first
-            assert evaluator.n_calls == calls_after_first  # served from the store
-        finally:
-            shared.shutdown()
-
-    def test_shared_cache_concurrent_writers_same_key_agree(self, problem):
-        """Writers racing puts on one content-signature key are benign:
-        the evaluator is deterministic, so every writer computes the same
-        score and last-write-wins leaves that score — merge semantics
-        yield a single consistent entry, never a torn or mixed value."""
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            pytest.skip("fork start method unavailable")
-
-        X, y = problem
-        shared = SharedEvaluationCache()
-        try:
-            barrier = ctx.Barrier(3)
-            out = ctx.Queue()
-            procs = [
-                ctx.Process(target=_racing_cache_writer, args=(shared, X, y, barrier, out))
-                for _ in range(3)
-            ]
-            for p in procs:
-                p.start()
-            reports = [out.get(timeout=120) for _ in procs]
-            for p in procs:
-                p.join(timeout=120)
-                assert p.exitcode == 0
-
-            keys = {key for key, _ in reports}
-            assert len(keys) == 1, "writers disagreed on the content signature"
-            (key,) = keys
-            scores = {score_repr for _, score_repr in reports}
-            assert len(scores) == 1, f"racing writers produced divergent scores: {scores}"
-            (score_repr,) = scores
-
-            # The store holds exactly that score, and folding it into a
-            # local cache reproduces it bit-for-bit.
-            assert repr(shared.get(key)) == score_repr
-            local = EvaluationCache()
-            shared.merge_into(local)
-            assert repr(local.get(key)) == score_repr
-        finally:
-            shared.shutdown()
 
     def test_session_view_request_stop_warns(self):
         from repro.core.parallel import SessionView
