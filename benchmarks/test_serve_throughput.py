@@ -19,12 +19,11 @@ transformation records a search produces. Two numbers matter on that path:
    descent that routes every (tree, row) pair at once, on a 50-tree depth-8
    forest at 1 and 256 rows, with the outputs asserted bit-identical.
 
-Timing notes: the plan ratio is best-of-two rounds per side, with one
-retry against background-process noise. The model ratio is the median of
-paired ratios from interleaved rounds (the arm timed first alternates), so
-load that lands on one round moves one pair, not the verdict. The report
-is saved before any floor is asserted, and the floors sit well below the
-typically-measured ratios because CI shares cores.
+Timing notes: both ratios are the median of paired ratios from
+interleaved rounds (the arm timed first alternates), reported with their
+IQR, so load that lands on one round moves one pair, not the verdict. The
+report is saved before any floor is asserted, and the floors sit well
+below the typically-measured ratios because CI shares cores.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ from repro.ml.evaluation import default_model_for_task
 from repro.serve import PipelineArtifact, PipelineService, compile_plan
 from tests.reference.ensemble_predict import forest_predict_proba
 
-ROUNDS = 2
+PLAN_ROUNDS = 9
+PLAN_FLOOR = 1.3  # compiled vs interpreted apply
 MODEL_TREES = 50  # depth 8, the oracle's default depth
 MODEL_ROUNDS = 9
 MODEL_FLOOR = 5.0  # stacked vs per-tree predict_proba at 1 row
@@ -82,21 +82,28 @@ def _wide_shared_plan(n_inputs: int = 6, width: int = 24) -> TransformationPlan:
     )
 
 
-def _best_of(fn, rounds: int = ROUNDS) -> tuple[float, np.ndarray]:
-    best, out = float("inf"), None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-        out = result
-    return best, out
-
-
 def _per_call(fn, reps: int) -> float:
     start = time.perf_counter()
     for _ in range(reps):
         fn()
     return (time.perf_counter() - start) / reps
+
+
+def _interleaved(arms, reps: int, rounds: int) -> list[tuple[float, ...]]:
+    """Per-call seconds of every arm, one tuple per round; the arm order
+    reverses every other round so neither side is always timed first."""
+    rows = []
+    for r in range(rounds):
+        order = range(len(arms)) if r % 2 == 0 else reversed(range(len(arms)))
+        times = {arm: _per_call(arms[arm], reps) for arm in order}
+        rows.append(tuple(times[arm] for arm in range(len(arms))))
+    return rows
+
+
+def _ratio_stats(pairs) -> tuple[float, float, float]:
+    """(q1, median, q3) of the per-round ratios ``pairs[i][0] / pairs[i][1]``."""
+    q1, median, q3 = np.percentile([a / b for a, b, *_ in pairs], [25, 50, 75])
+    return float(q1), float(median), float(q3)
 
 
 def _model_predict_arm() -> tuple[list[str], float]:
@@ -120,15 +127,10 @@ def _model_predict_arm() -> tuple[list[str], float]:
             forest.predict_proba(rows), forest_predict_proba(forest, rows), strict=True
         )
         arms = (lambda: forest_predict_proba(forest, rows), lambda: forest.predict_proba(rows))
-        pairs = []
-        for r in range(MODEL_ROUNDS):
-            order = (0, 1) if r % 2 == 0 else (1, 0)
-            times = {arm: _per_call(arms[arm], reps) for arm in order}
-            pairs.append((times[0], times[1]))
+        pairs = _interleaved(arms, reps, MODEL_ROUNDS)
         per_tree, stacked = (np.median([p[i] for p in pairs]) for i in (0, 1))
-        ratios = [a / b for a, b in pairs]
-        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
-        median_ratio[n_rows] = float(median)
+        q1, median, q3 = _ratio_stats(pairs)
+        median_ratio[n_rows] = median
         iqr = f"{q1:.1f}x-{q3:.1f}x"
         lines.append(
             f"{n_rows:5d} {per_tree * 1e3:12.3f} {stacked * 1e3:11.3f} {median:7.1f}x {iqr:>17s}"
@@ -148,52 +150,52 @@ def test_serve_throughput(profile, save_report):
     compiled = compile_plan(plan)
     model_lines, model_ratio = _model_predict_arm()
 
-    def measure_and_report() -> float:
-        interp_t, interp_out = _best_of(lambda: plan.apply(X))
-        compiled_t, compiled_out = _best_of(lambda: compiled.apply(X))
-        np.testing.assert_array_equal(compiled_out, interp_out, strict=True)
-        chunked_t, chunked_out = _best_of(lambda: compiled.apply(X, chunk_size=1024))
-        np.testing.assert_array_equal(chunked_out, interp_out, strict=True)
-        speedup = interp_t / compiled_t
+    interp_out = plan.apply(X)
+    np.testing.assert_array_equal(compiled.apply(X), interp_out, strict=True)
+    np.testing.assert_array_equal(compiled.apply(X, chunk_size=1024), interp_out, strict=True)
+    arms = (
+        lambda: plan.apply(X),
+        lambda: compiled.apply(X),
+        lambda: compiled.apply(X, chunk_size=1024),
+    )
+    rounds = _interleaved(arms, 3, PLAN_ROUNDS)
+    interp_t, compiled_t, chunked_t = (np.median([r[i] for r in rounds]) for i in (0, 1, 2))
+    q1, speedup, q3 = _ratio_stats(rounds)
 
-        # Server throughput: micro-batched transform requests, in-process.
-        artifact = PipelineArtifact(plan, "classification")
-        service = PipelineService(artifact, max_wait_ms=0.0)
-        try:
-            request_rows = 256
-            n_requests = max(4, n_rows // request_rows)
-            start = time.perf_counter()
-            for i in range(n_requests):
-                lo = (i * request_rows) % (n_rows - request_rows)
-                service.transform(X[lo : lo + request_rows])
-            served_rows = n_requests * request_rows
-            server_t = time.perf_counter() - start
-        finally:
-            service.close()
+    # Server throughput: micro-batched transform requests, in-process.
+    artifact = PipelineArtifact(plan, "classification")
+    service = PipelineService(artifact, max_wait_ms=0.0)
+    try:
+        request_rows = 256
+        n_requests = max(4, n_rows // request_rows)
+        start = time.perf_counter()
+        for i in range(n_requests):
+            lo = (i * request_rows) % (n_rows - request_rows)
+            service.transform(X[lo : lo + request_rows])
+        served_rows = n_requests * request_rows
+        server_t = time.perf_counter() - start
+    finally:
+        service.close()
 
-        lines = [
-            "Serve throughput — compiled vs interpreted plan apply, server rows/sec",
-            f"plan: {compiled.n_nodes} nodes -> {len(compiled.instructions)} instructions "
-            f"(CSE merged {compiled.n_merged}), {compiled.n_features} live features",
-            f"matrix: {n_rows} x {plan.n_input_columns} (best of {ROUNDS} rounds)",
-            f"{'mode':22s} {'seconds':>9s}",
-            f"{'interpreted apply':22s} {interp_t:9.4f}",
-            f"{'compiled apply':22s} {compiled_t:9.4f}",
-            f"{'compiled chunked(1024)':22s} {chunked_t:9.4f}",
-            f"speedup: {speedup:.2f}x  (outputs byte-identical: True)",
-            f"server : {served_rows} rows in {server_t:.3f}s over {n_requests} requests "
-            f"-> {served_rows / server_t:,.0f} rows/sec (in-process micro-batcher)",
-            "",
-            *model_lines,
-        ]
-        save_report("serve_throughput", "\n".join(lines))
-        return speedup
-
-    # Report first, assert after (fig10 shape); one retry for timing noise.
-    speedup = measure_and_report()
-    if speedup < 1.3:
-        speedup = measure_and_report()
-    assert speedup >= 1.3, f"compiled plan too slow: {speedup:.2f}x vs interpreter"
+    lines = [
+        "Serve throughput — compiled vs interpreted plan apply, server rows/sec",
+        f"plan: {compiled.n_nodes} nodes -> {len(compiled.instructions)} instructions "
+        f"(CSE merged {compiled.n_merged}), {compiled.n_features} live features",
+        f"matrix: {n_rows} x {plan.n_input_columns} "
+        f"(median of {PLAN_ROUNDS} interleaved rounds)",
+        f"{'mode':22s} {'seconds':>9s}",
+        f"{'interpreted apply':22s} {interp_t:9.4f}",
+        f"{'compiled apply':22s} {compiled_t:9.4f}",
+        f"{'compiled chunked(1024)':22s} {chunked_t:9.4f}",
+        f"speedup: {speedup:.2f}x [IQR {q1:.2f}x-{q3:.2f}x]  (outputs byte-identical: True)",
+        f"server : {served_rows} rows in {server_t:.3f}s over {n_requests} requests "
+        f"-> {served_rows / server_t:,.0f} rows/sec (in-process micro-batcher)",
+        "",
+        *model_lines,
+    ]
+    # Report first, assert after (fig10 shape).
+    save_report("serve_throughput", "\n".join(lines))
+    assert speedup >= PLAN_FLOOR, f"compiled plan too slow: {speedup:.2f}x vs interpreter"
     assert model_ratio >= MODEL_FLOOR, (
         f"stacked predict too slow at 1 row: {model_ratio:.1f}x vs the per-tree loop"
     )

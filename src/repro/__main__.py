@@ -857,8 +857,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8000,
                        help="listen port (0 = ephemeral; default: %(default)s)")
-    p_srv.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch coalescing window (default: %(default)s)")
+    p_srv.add_argument("--max-wait-ms", type=float, default=0.0,
+                       help="longest a batch's first request waits for followers; "
+                       "0 batches continuously: an idle server runs a request at "
+                       "once and coalesces only requests that queue while a batch "
+                       "runs (default: %(default)s)")
     p_srv.add_argument("--max-batch-rows", type=int, default=4096,
                        help="row cap per coalesced batch (default: %(default)s)")
     p_srv.add_argument("--max-requests", type=int, default=None,

@@ -2,7 +2,12 @@
 
 Every operation is numerically guarded — ``log``, ``divide``, ``sqrt`` and
 friends never emit NaN/inf — because the RL agents will compose them blindly
-and the downstream oracle requires finite inputs.
+and the downstream oracle requires finite inputs. :func:`guard` is that
+guard: NaN becomes 0.0 and every value, ±inf included, is clipped to
+±1e12, in one ``clip`` pass and one NaN fill, byte-identical to the
+two-call reference guard in ``tests/reference/operations.py``.
+:class:`Operation` applies it after every kernel; the serving compiler
+calls ``fn`` and :func:`guard` directly.
 """
 
 from __future__ import annotations
@@ -19,14 +24,20 @@ __all__ = [
     "OPERATIONS",
     "OPERATION_NAMES",
     "get_operation",
+    "guard",
 ]
 
 _CLIP = 1e12
 
 
-def _safe(values: np.ndarray) -> np.ndarray:
-    values = np.nan_to_num(values, nan=0.0, posinf=_CLIP, neginf=-_CLIP)
-    return np.clip(values, -_CLIP, _CLIP)
+def guard(values: np.ndarray) -> np.ndarray:
+    """Map NaN to 0.0 and clip to ±1e12 (±inf included), in a new array."""
+    out = np.clip(values, -_CLIP, _CLIP)  # ±inf -> ±_CLIP; NaN passes through
+    if out.ndim == 0:
+        # A 0-d input comes back as a NumPy scalar, which copyto cannot fill.
+        return out.dtype.type(0.0) if np.isnan(out) else out
+    np.copyto(out, 0.0, where=np.isnan(out))
+    return out
 
 
 @dataclass(frozen=True)
@@ -47,7 +58,7 @@ class Operation:
         if len(args) != self.arity:
             raise ValueError(f"{self.name} expects {self.arity} operand(s), got {len(args)}")
         with np.errstate(all="ignore"):
-            return _safe(self.fn(*[np.asarray(a, dtype=float) for a in args]))
+            return guard(self.fn(*[np.asarray(a, dtype=float) for a in args]))
 
     def format(self, *operands: str) -> str:
         return self.template.format(*operands)

@@ -18,6 +18,11 @@ interpreter lacks:
   ``chunk_size × live-slot count`` instead of ``n_rows × n_nodes``.
 - **No recursion.** Compilation and execution are iterative, so plans
   deeper than Python's recursion limit still run.
+- **A lean inner loop.** A run enters ``np.errstate`` once and calls each
+  operation's kernel (``Operation.fn``) and :func:`~repro.core.operations.guard`
+  directly, skipping ``Operation.__call__``'s per-call arity check,
+  ``errstate`` and ``asarray``: :func:`compile_plan` validates arity once,
+  and :meth:`CompiledPlan.apply` casts ``X`` to float once.
 
 The contract is byte-identity: for any valid plan and input,
 ``compile_plan(plan).apply(X)`` equals ``plan.apply(X)`` array-for-array
@@ -29,10 +34,11 @@ makes both CSE and chunking exact rather than approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from repro.core.operations import Operation, get_operation
+from repro.core.operations import get_operation, guard
 from repro.core.sequence import TransformationPlan
 from repro.ml.preprocessing import sanitize_features
 
@@ -80,19 +86,21 @@ class CompiledPlan:
         """Nodes eliminated by common-subexpression elimination."""
         return self.n_nodes - len(self.instructions)
 
-    def _run(self, X: np.ndarray, ops: list[Operation | None], out: np.ndarray) -> None:
+    def _run(self, X: np.ndarray, kernels: list[Callable | None], out: np.ndarray) -> None:
         """Execute the program over ``X`` writing the live columns to ``out``."""
         values: list[np.ndarray | None] = [None] * self.n_slots
-        for i, ins in enumerate(self.instructions):
-            if ins.op is None:
-                values[ins.slot] = X[:, ins.source_col]
-            else:
-                values[ins.slot] = ops[i](*[values[a] for a in ins.args])
-            # Release buffers whose last consumer just ran (streaming mode's
-            # memory bound); output slots have last_use beyond the program.
-            for a in ins.args:
-                if self._last_use[a] == i:
-                    values[a] = None
+        with np.errstate(all="ignore"):
+            for i, ins in enumerate(self.instructions):
+                if ins.op is None:
+                    values[ins.slot] = X[:, ins.source_col]
+                else:
+                    values[ins.slot] = guard(kernels[i](*[values[a] for a in ins.args]))
+                # Release buffers whose last consumer just ran (streaming
+                # mode's memory bound); output slots have last_use beyond
+                # the program.
+                for a in ins.args:
+                    if self._last_use[a] == i:
+                        values[a] = None
         for j, slot in enumerate(self.output_slots):
             out[:, j] = values[slot]
 
@@ -112,15 +120,17 @@ class CompiledPlan:
             )
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        ops = [None if ins.op is None else get_operation(ins.op) for ins in self.instructions]
+        kernels = [
+            None if ins.op is None else get_operation(ins.op).fn for ins in self.instructions
+        ]
         n = X.shape[0]
         out = np.empty((n, self.n_features), dtype=float)
         if chunk_size is None or chunk_size >= n:
-            self._run(X, ops, out)
+            self._run(X, kernels, out)
         else:
             for start in range(0, n, chunk_size):
                 stop = min(start + chunk_size, n)
-                self._run(X[start:stop], ops, out[start:stop])
+                self._run(X[start:stop], kernels, out[start:stop])
         return sanitize_features(out)
 
 

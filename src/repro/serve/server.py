@@ -2,12 +2,15 @@
 
 Four layers, separable on purpose:
 
-- :class:`MicroBatcher` — a single worker thread that coalesces requests
-  arriving within a short window into one vectorized pipeline apply. N
-  concurrent single-row ``/predict`` calls cost one compiled-plan
-  execution and one model predict over an (N, d) matrix instead of N of
-  each — the serving-side analogue of the search-side batching the paper
-  leans on. The admission queue is optionally bounded (``max_queue``):
+- :class:`MicroBatcher` — a single worker thread that batches
+  continuously: an idle worker runs a request at once, and the requests
+  that queue while a batch runs go out together as the next batch, one
+  vectorized pipeline apply. N concurrent single-row ``/predict`` calls
+  cost one compiled-plan execution and one model descent over an (N, d)
+  matrix instead of N of each — the serving-side analogue of the
+  search-side batching the paper leans on. ``max_wait_ms`` (default 0)
+  optionally lingers on a batch's first request for followers, up to that
+  ceiling. The admission queue is optionally bounded (``max_queue``):
   overflow raises :class:`QueueFullError` instead of letting latency grow
   without limit, per-request deadlines expire queued work that can no
   longer be answered in time, and :meth:`swap_artifact` atomically
@@ -40,10 +43,11 @@ path), 429 + ``Retry-After`` (admission queue full), 504 (deadline
 expired), 500 (model blew up). A client disconnecting mid-response is
 counted under the ``disconnect`` status label and never kills a worker.
 
-Observability: the batcher always records per-request and per-batch
-latency histograms plus batch-size distributions (an ``observe()`` is two
-dict lookups and a bisect — noise next to a pipeline apply); ``/healthz``
-reports their p50/p99 and ``/metrics`` renders everything for scraping,
+Observability: the batcher always records per-request latency, queue
+wait (submit to batch claim) and per-batch latency histograms plus
+batch-size distributions (an ``observe()`` is two dict lookups and a
+bisect — noise next to a pipeline apply); ``/healthz`` reports their
+p50/p99 and ``/metrics`` renders everything for scraping,
 including ``serve_queue_depth``, ``serve_requests_shed_total``,
 ``serve_deadline_expired_total``, ``serve_reloads_total`` and the shadow
 divergence counters. An opt-in access log (``access_log=``, CLI
@@ -64,6 +68,9 @@ from collections import deque
 
 import numpy as np
 
+from repro.ml.boosting import GradientBoostingClassifier
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.tree import DecisionTreeClassifier
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from repro.serve.artifact import PipelineArtifact
 
@@ -78,6 +85,15 @@ __all__ = [
 
 # Upper bucket edges for batch-size distributions (requests and rows).
 _BATCH_SIZE_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+
+# Classifiers whose ``predict`` is exactly ``classes_[argmax(predict_proba)]``:
+# one ``predict_proba`` call (one forest descent) serves both outputs of a
+# predict batch. Exact types only — a subclass may override ``predict``.
+_PROBA_ARGMAX_MODELS = (
+    RandomForestClassifier,
+    DecisionTreeClassifier,
+    GradientBoostingClassifier,
+)
 
 # Waiter-side poll interval: bounds how long a client can block after the
 # worker thread has died without an explicit wake-up (the worker normally
@@ -141,9 +157,12 @@ class _Pending:
 class MicroBatcher:
     """Coalesce concurrent requests into one vectorized apply.
 
-    On the first request of a batch the worker waits up to
-    ``max_wait_ms`` for followers, then executes every pending request of
-    each kind in a single pipeline call and fans the row slices back out.
+    Batching is continuous: an idle worker claims whatever is queued at
+    once, executes every pending request of each kind in a single
+    pipeline call and fans the row slices back out; the requests that
+    arrived meanwhile form the next batch. A positive ``max_wait_ms``
+    (default 0) opts into lingering on a batch's first request for up to
+    that long, until followers fill ``max_batch_rows``.
     ``max_batch_rows`` bounds a batch; overflow rolls into the next one.
 
     Admission control: ``max_queue`` (optional) bounds how many requests
@@ -168,7 +187,7 @@ class MicroBatcher:
     def __init__(
         self,
         artifact: PipelineArtifact,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = 0.0,
         max_batch_rows: int = 4096,
         metrics: MetricsRegistry | None = None,
         *,
@@ -189,6 +208,10 @@ class MicroBatcher:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._req_latency = self.metrics.histogram(
             "serve_request_seconds", help="Per-request latency (submit to response)"
+        )
+        self._queue_wait = self.metrics.histogram(
+            "serve_queue_wait_seconds",
+            help="Per-request queue wait (submit to batch claim)",
         )
         self._batch_latency = self.metrics.histogram(
             "serve_batch_execute_seconds", help="Per-batch pipeline execution latency"
@@ -348,6 +371,8 @@ class MicroBatcher:
         # (outside the queue lock: histograms carry their own locks).
         out["request_latency_p50"] = round(self._req_latency.quantile(0.5), 6)
         out["request_latency_p99"] = round(self._req_latency.quantile(0.99), 6)
+        out["queue_wait_p50"] = round(self._queue_wait.quantile(0.5), 6)
+        out["queue_wait_p99"] = round(self._queue_wait.quantile(0.99), 6)
         out["batch_requests_p50"] = round(self._batch_requests.quantile(0.5), 2)
         out["batch_requests_p99"] = round(self._batch_requests.quantile(0.99), 2)
         out["batch_rows_p50"] = round(self._batch_rows.quantile(0.5), 2)
@@ -390,7 +415,8 @@ class MicroBatcher:
             self._finish(pending)
 
     def _drain(self):
-        """Wait for work, linger ``max_wait_ms`` for followers, take a batch.
+        """Wait for work, linger up to ``max_wait_ms`` (0: not at all) for
+        followers, take a batch.
 
         Returns ``(batch, artifact, version)`` — the artifact pair is
         snapshotted under the lock so the whole batch runs on one version
@@ -417,6 +443,7 @@ class MicroBatcher:
             batch: list[_Pending] = []
             rows = 0
             now = time.monotonic()
+            claimed_at = time.perf_counter()
             while self._queue and rows < self.max_batch_rows:
                 pending = self._queue.popleft()
                 if pending.cancelled:
@@ -443,6 +470,8 @@ class MicroBatcher:
                 pending.error = DeadlineExceededError("request abandoned past its deadline")
             self._finish(pending)
         if batch:
+            for pending in batch:
+                self._queue_wait.observe(claimed_at - pending.t_submit)
             self._batch_requests.observe(len(batch))
             self._batch_rows.observe(rows)
         return batch, artifact, version
@@ -462,12 +491,16 @@ class MicroBatcher:
             model = artifact.model
             if model is None:
                 raise RuntimeError("Artifact carries no downstream model")
-            predictions = model.predict(features)
-            proba = (
-                model.predict_proba(features)
-                if hasattr(model, "predict_proba")
-                else None
-            )
+            if type(model) in _PROBA_ARGMAX_MODELS:
+                proba = model.predict_proba(features)
+                predictions = model.classes_[np.argmax(proba, axis=1)]
+            else:
+                predictions = model.predict(features)
+                proba = (
+                    model.predict_proba(features)
+                    if hasattr(model, "predict_proba")
+                    else None
+                )
         offset = 0
         for p in group:
             stop = offset + len(p.rows)
@@ -668,7 +701,7 @@ class PipelineService:
     def __init__(
         self,
         artifact: PipelineArtifact,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = 0.0,
         max_batch_rows: int = 4096,
         *,
         max_queue: int | None = None,
@@ -884,7 +917,7 @@ class InferenceServer:
         artifact: PipelineArtifact,
         host: str = "127.0.0.1",
         port: int = 8000,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = 0.0,
         max_batch_rows: int = 4096,
         max_requests: int | None = None,
         access_log=None,

@@ -1,10 +1,10 @@
 """Seed implementations kept as test oracles.
 
 Production (``src/repro``) carries one split engine, one feature store,
-one inner loop, one tree-descent kernel and one batched MI kernel. The
-implementations they replaced live here, unchanged in behaviour, so the
-bit-identity tests and the throughput benchmarks can compare production
-against them:
+one inner loop, one tree-descent kernel, one batched MI kernel and one
+operation guard. The implementations they replaced live here, unchanged
+in behaviour, so the bit-identity tests and the throughput benchmarks can
+compare production against them:
 
 - :mod:`tests.reference.split_engine`: the per-node-argsort split engine;
 - :mod:`tests.reference.sequence`: the dict-of-columns ``FeatureSpace``;
@@ -14,7 +14,9 @@ against them:
   of trees and forests;
 - :mod:`tests.reference.clustering`: the per-pair MI estimator, the
   per-column discretizer and MI functions, and the double-loop Eq. 2
-  merge.
+  merge;
+- :mod:`tests.reference.operations`: the ``nan_to_num``-then-``clip``
+  operation guard.
 
 Import them as ``tests.reference.*`` only (the checkout root is on
 ``sys.path`` under ``python -m pytest``); a second import name would load

@@ -181,6 +181,35 @@ class TestWorkerDeathRegression:
             batcher.wait_for(queued)
 
 
+class TestContinuousBatching:
+    def test_requests_queued_behind_a_running_batch_run_as_one(
+        self, artifact, serve_problem
+    ):
+        """At the default ``max_wait_ms`` an idle worker runs a request at
+        once; every request that queued while that batch ran departs
+        together as the next batch."""
+        X, _ = serve_problem
+        n_queued = 6
+        gate_model = GateModel()
+        service = PipelineService(_variant(artifact, gate_model))
+        batcher = service.batcher
+        try:
+            first = service.submit_nowait("predict", X[:1])
+            assert _wait_until(lambda: batcher.n_batches >= 1)  # claimed, gated
+            queued = [
+                service.submit_nowait("predict", X[i : i + 1]) for i in range(n_queued)
+            ]
+            gate_model.gate.set()
+            for pending in (first, *queued):
+                assert batcher.wait_for(pending)["predictions"].tolist() == [0.0]
+            stats = batcher.stats()
+            assert stats["batches"] == 2
+            assert stats["max_batch_requests"] == n_queued
+        finally:
+            gate_model.gate.set()
+            service.close()
+
+
 class TestAdmissionControl:
     def test_bounded_queue_sheds_with_retry_after(self, artifact, serve_problem):
         X, _ = serve_problem

@@ -91,6 +91,8 @@ class TestLatencyQuantiles:
             for key in (
                 "request_latency_p50",
                 "request_latency_p99",
+                "queue_wait_p50",
+                "queue_wait_p99",
                 "batch_requests_p50",
                 "batch_requests_p99",
                 "batch_rows_p50",
@@ -98,7 +100,11 @@ class TestLatencyQuantiles:
             ):
                 assert key in batcher, key
             assert 0 < batcher["request_latency_p50"] <= batcher["request_latency_p99"]
+            assert 0 < batcher["queue_wait_p50"] <= batcher["queue_wait_p99"]
             assert batcher["batch_rows_p50"] >= 1
+            # One queue-wait observation per served request.
+            queue_wait = server.service.metrics.get("serve_queue_wait_seconds")
+            assert queue_wait.count == batcher["requests"] == 4
 
     def test_stats_quantiles_in_process(self, artifact, serve_problem):
         X, _ = serve_problem

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import threading
 import urllib.error
@@ -10,7 +11,17 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serve import ArtifactRegistry, InferenceServer, PipelineService
+from repro.__main__ import build_parser
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.linear import LogisticRegression
+from repro.ml.tree import _NodeTable
+from repro.serve import (
+    ArtifactRegistry,
+    InferenceServer,
+    MicroBatcher,
+    PipelineArtifact,
+    PipelineService,
+)
 
 
 def _post(url: str, payload: dict) -> dict:
@@ -190,3 +201,58 @@ class TestMicroBatching:
         service.close()
         with pytest.raises(RuntimeError, match="stopped"):
             service.predict(X[:1])
+
+    def test_max_wait_defaults_to_zero(self):
+        """Continuous batching is the default on every surface."""
+        for cls in (MicroBatcher, PipelineService, InferenceServer):
+            assert inspect.signature(cls).parameters["max_wait_ms"].default == 0.0
+        assert build_parser().parse_args(["serve", "--artifact", "art"]).max_wait_ms == 0.0
+
+
+def _assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestOneDescentPerBatch:
+    def test_forest_predict_batch_descends_once(self, artifact, serve_problem, monkeypatch):
+        """A forest's labels come from the batch's one ``predict_proba``
+        descent, byte-equal to calling ``predict`` and ``predict_proba``."""
+        X, _ = serve_problem
+        model = artifact.model
+        assert type(model) is RandomForestClassifier
+        rows = X[:7]
+        features = artifact.transform(rows)
+        want_labels, want_proba = model.predict(features), model.predict_proba(features)
+        descents: list[int] = []
+        descend = _NodeTable.descend
+
+        def counting_descend(table, X):
+            descents.append(len(X))
+            return descend(table, X)
+
+        monkeypatch.setattr(_NodeTable, "descend", counting_descend)
+        service = PipelineService(artifact)
+        try:
+            out = service.predict(rows)
+        finally:
+            service.close()
+        assert descents == [len(rows)]
+        _assert_same_bytes(out["predictions"], want_labels)
+        _assert_same_bytes(out["proba"], want_proba)
+
+    def test_logistic_regression_labels_come_from_its_predict(
+        self, artifact, serve_problem
+    ):
+        """Models that label from a decision function keep both calls."""
+        X, y = serve_problem
+        model = LogisticRegression().fit(artifact.transform(X), y)
+        served = PipelineArtifact(artifact.plan, artifact.task, model=model)
+        features = artifact.transform(X[:9])
+        service = PipelineService(served)
+        try:
+            out = service.predict(X[:9])
+        finally:
+            service.close()
+        _assert_same_bytes(out["predictions"], model.predict(features))
+        _assert_same_bytes(out["proba"], model.predict_proba(features))

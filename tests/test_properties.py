@@ -6,7 +6,8 @@ silently:
 - every registered operation is *total* and *guarded* — any float input
   (NaN/inf included) yields a finite, clipped, shape-preserving, bitwise-
   deterministic output, because the RL agents compose ops blindly and the
-  downstream oracle requires finite matrices;
+  downstream oracle requires finite matrices — and its one-pass guard is
+  byte-identical to the seed's ``nan_to_num``-then-``clip`` pair;
 - the serving compiler is *exact* — on randomly-grown transformation
   plans, compiled execution (plain and chunked) is byte-identical to the
   interpreter, and plan JSON round-trips losslessly;
@@ -33,10 +34,12 @@ from repro.core.operations import (  # noqa: E402
     BINARY_OPERATIONS,
     OPERATIONS,
     UNARY_OPERATIONS,
+    guard,
 )
 from repro.core.sequence import FeatureSpace, TransformationPlan  # noqa: E402
 from repro.ml.cache import EvaluationCache  # noqa: E402
 from repro.serve.compile import compile_plan  # noqa: E402
+from tests.reference.operations import guard as reference_guard  # noqa: E402
 from tests.reference.sequence import DictFeatureSpace  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -47,6 +50,14 @@ any_floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
 columns = hnp.arrays(np.float64, st.integers(1, 40), elements=any_floats)
 
 
+def _assert_seed_guard(out, kernel_out) -> None:
+    """``out`` is the seed guard applied to ``kernel_out``, byte for byte."""
+    expected = reference_guard(kernel_out)
+    assert type(out) is type(expected)
+    assert out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()
+
+
 @SETTINGS
 @given(op=st.sampled_from(UNARY_OPERATIONS), values=columns)
 def test_unary_ops_total_finite_and_deterministic(op, values):
@@ -55,6 +66,8 @@ def test_unary_ops_total_finite_and_deterministic(op, values):
     assert np.all(np.isfinite(out))
     assert np.all(np.abs(out) <= _CLIP)
     assert out.tobytes() == op(values.copy()).tobytes()
+    with np.errstate(all="ignore"):
+        _assert_seed_guard(out, op.fn(values))
 
 
 @SETTINGS
@@ -74,6 +87,39 @@ def test_binary_ops_total_finite_and_deterministic(op, pair):
     assert np.all(np.isfinite(out))
     assert np.all(np.abs(out) <= _CLIP)
     assert out.tobytes() == op(a.copy(), b.copy()).tobytes()
+    with np.errstate(all="ignore"):
+        _assert_seed_guard(out, op.fn(a, b))
+
+
+_ABOVE_CLIP = np.nextafter(_CLIP, np.inf)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array(np.nan),
+        np.array(-np.inf),
+        np.array(-0.0),
+        np.array(3.5),
+        np.array(2e12),
+        np.empty(0),
+        np.empty((0, 3)),
+        np.array([-0.0, 0.0, -np.nan, np.nan]),
+        np.array([5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf]),
+        np.array([_CLIP, -_CLIP, _ABOVE_CLIP, -_ABOVE_CLIP, 1.0000001e12]),
+    ],
+    ids=lambda v: f"{v.shape}:{v.ravel()[:3].tolist()}",
+)
+def test_guard_matches_seed_guard_on_edge_inputs(values):
+    """Inputs hypothesis may not reach: 0-d arrays (``clip`` returns a NumPy
+    scalar there), empty arrays, signed zeros and NaNs, the smallest
+    subnormal, ±1e308 and values just past the clip bound — through the
+    guard itself and through every operation."""
+    _assert_seed_guard(guard(values), values)
+    with np.errstate(all="ignore"):
+        for op in OPERATIONS:
+            operands = [values] * op.arity
+            _assert_seed_guard(op(*operands), op.fn(*operands))
 
 
 @SETTINGS
