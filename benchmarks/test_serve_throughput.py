@@ -3,14 +3,15 @@
 The ROADMAP's north star is serving heavy inference traffic from the
 transformation records a search produces. Two numbers matter on that path:
 
-1. **Compiled vs interpreted apply.** ``TransformationPlan.apply`` is a
-   memoized recursive interpreter keyed by feature id; searches routinely
-   produce *structurally identical* derivations under distinct ids (the
-   feature space only dedups against the live set), which the interpreter
-   recomputes per id but the compiler's common-subexpression elimination
-   evaluates once. This benchmark times both on a wide plan whose live
-   features share duplicated stems — the shape pruning-and-regrowing
-   searches leave behind — and verifies the outputs are byte-identical.
+1. **Compiled vs interpreted apply.** The seed's plan executor
+   (``tests.reference.plan.apply``) is a memoized recursive interpreter
+   keyed by feature id; searches routinely produce *structurally
+   identical* derivations under distinct ids (the feature space only
+   dedups against the live set), which the interpreter recomputes per id
+   but the compiler's common-subexpression elimination evaluates once.
+   This benchmark times both on a wide plan whose live features share
+   duplicated stems — the shape pruning-and-regrowing searches leave
+   behind — and verifies the outputs are byte-identical.
 2. **Server rows/sec.** End-to-end in-process serving throughput through
    the micro-batcher (request → batched compiled apply → response), the
    number a capacity plan would start from.
@@ -37,6 +38,7 @@ from repro.core.sequence import FeatureNode, TransformationPlan
 from repro.ml.evaluation import default_model_for_task
 from repro.serve import PipelineArtifact, PipelineService, compile_plan
 from tests.reference.ensemble_predict import forest_predict_proba
+from tests.reference.plan import apply as reference_apply
 
 PLAN_ROUNDS = 9
 PLAN_FLOOR = 1.3  # compiled vs interpreted apply
@@ -150,11 +152,11 @@ def test_serve_throughput(profile, save_report):
     compiled = compile_plan(plan)
     model_lines, model_ratio = _model_predict_arm()
 
-    interp_out = plan.apply(X)
+    interp_out = reference_apply(plan, X)
     np.testing.assert_array_equal(compiled.apply(X), interp_out, strict=True)
     np.testing.assert_array_equal(compiled.apply(X, chunk_size=1024), interp_out, strict=True)
     arms = (
-        lambda: plan.apply(X),
+        lambda: reference_apply(plan, X),
         lambda: compiled.apply(X),
         lambda: compiled.apply(X, chunk_size=1024),
     )

@@ -8,8 +8,10 @@ This script walks the full serving path:
    ``PipelineArtifact`` with a content-hashed provenance manifest.
 2. *Registry*: publish two versions into an ``ArtifactRegistry``, promote
    one to the ``prod`` tag, and resolve through the tag.
-3. *Compiled plans*: the artifact applies a CSE-deduplicated, vectorized
-   program that is byte-identical to ``TransformationPlan.apply``.
+3. *Compiled plans*: the artifact caches the CSE-deduplicated, vectorized
+   program that ``TransformationPlan.apply`` compiles and runs, and the
+   copy loaded back from the registry reproduces the search result's
+   features byte for byte.
 4. *Serving*: a micro-batching ``InferenceServer`` answers JSON
    ``/predict`` requests over a real socket.
 
@@ -47,7 +49,7 @@ def main() -> None:
         print(f"published : {v1} and {v2}; tag prod -> {v2}")
         print(f"hash      : {artifact.manifest['content_hash'][:16]}…")
 
-        # -- compiled execution is byte-identical to the interpreter ----------
+        # -- the loaded program reproduces the search result's features -------
         served = api.load_pipeline(registry=root, name="pima", tag="prod")
         compiled = served.compiled
         assert np.array_equal(served.transform(ds.X), result.plan.apply(ds.X))

@@ -124,22 +124,16 @@ class TTG(FeatureTransformBaseline):
         """Recreate the parent's live features inside a fresh space."""
         plan = parent.snapshot()
         mapping: dict[int, int] = {}
-
-        def rebuild(fid: int) -> int:
-            if fid in mapping:
-                return mapping[fid]
+        for fid in plan.validate():  # operands before the features built on them
             node = plan.nodes[fid]
             if node.op is None:
-                new_id = child.original_ids[node.source_col]
+                mapping[fid] = child.original_ids[node.source_col]
+                continue
+            args = [mapping[c] for c in node.children]
+            if len(args) == 1:
+                mapping[fid] = child.apply_unary(node.op, args)[0]
             else:
-                children = [rebuild(c) for c in node.children]
-                if len(children) == 1:
-                    new_id = child.apply_unary(node.op, [children[0]])[0]
-                else:
-                    new_id = child.apply_binary(node.op, [children[0]], [children[1]])[0]
-            mapping[fid] = new_id
-            return new_id
-
-        live = [rebuild(fid) for fid in plan.live_ids]
+                mapping[fid] = child.apply_binary(node.op, args[:1], args[1:])[0]
+        live = [mapping[fid] for fid in plan.live_ids]
         child.prune(live)
         return live

@@ -4,19 +4,28 @@ Every feature — original or generated — is a node with a provenance record.
 This gives FastFT the paper's traceability property (Table IV, Fig 15): each
 generated column can be printed as an explicit formula over the original
 features, and a fitted plan can be re-applied to unseen data.
+
+A plan runs one way: :meth:`TransformationPlan.apply` compiles it with
+:func:`compile_plan` and runs the program, which ``PipelineArtifact``
+caches for serving. Validation, compilation and formatting share one
+iterative post-order walk, so plans deeper than Python's recursion limit
+still validate, run and print. The seed's recursive interpreter and
+formatter are the byte-identity oracles in ``tests/reference/plan.py``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.operations import get_operation
+from repro.core.operations import get_operation, guard
 from repro.ml.preprocessing import sanitize_features
 
-__all__ = ["FeatureNode", "TransformationPlan", "FeatureSpace"]
+__all__ = ["FeatureNode", "TransformationPlan", "Instruction", "CompiledPlan", "compile_plan",
+           "FeatureSpace"]
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,62 @@ class FeatureNode:
     source_col: int | None = None
 
 
+def _post_order(nodes: dict[int, FeatureNode], roots: Iterable[int]) -> list[int]:
+    """Every feature reachable from ``roots``, each once, operands first.
+
+    This is the order a memoized recursive evaluation visits them in, found
+    with an explicit stack so a deep chain does not hit Python's recursion
+    limit. A cycle raises ``ValueError`` (it would otherwise never finish).
+    """
+    order: list[int] = []
+    done: dict[int, bool] = {}  # False while on the current path
+    for root in roots:
+        if root in done:
+            continue
+        done[root] = False
+        stack = [(root, iter(nodes[root].children))]
+        while stack:
+            fid, children = stack[-1]
+            for c in children:
+                state = done.get(c)
+                if state is None:
+                    done[c] = False
+                    stack.append((c, iter(nodes[c].children)))
+                    break
+                if not state:
+                    raise ValueError(f"node {c}: plan graph contains a cycle")
+            else:
+                done[fid] = True
+                order.append(fid)
+                stack.pop()
+    return order
+
+
+def _format(nodes: dict[int, FeatureNode], names: list[str], fids: list[int]) -> list[str]:
+    """Infix formula of each of ``fids`` in terms of the original columns."""
+    text: dict[int, str] = {}
+    for fid in _post_order(nodes, fids):
+        node = nodes[fid]
+        if node.op is None:
+            text[fid] = names[node.source_col]
+        else:
+            text[fid] = get_operation(node.op).format(*[text[c] for c in node.children])
+    return [text[fid] for fid in fids]
+
+
+def _json_int(value, where: str) -> int:
+    # ``bool`` is an ``int`` subclass; floats and strings are never coerced.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _json_ids(values, where: str) -> list[int]:
+    if not isinstance(values, list):
+        raise ValueError(f"{where}: expected a list of integers, got {values!r}")
+    return [_json_int(v, where) for v in values]
+
+
 @dataclass
 class TransformationPlan:
     """A frozen, re-applicable transformation: nodes + the live feature ids.
@@ -47,52 +112,44 @@ class TransformationPlan:
     feature_names: list[str]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate every live feature on ``X`` (memoized recursion)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_input_columns:
-            raise ValueError(
-                f"Plan was fitted on {self.n_input_columns} columns, got {X.shape}"
-            )
-        cache: dict[int, np.ndarray] = {}
+        """Evaluate every live feature on ``X`` through :func:`compile_plan`.
 
-        def evaluate(fid: int) -> np.ndarray:
-            if fid in cache:
-                return cache[fid]
-            node = self.nodes[fid]
-            if node.op is None:
-                value = X[:, node.source_col]
-            else:
-                operands = [evaluate(c) for c in node.children]
-                value = get_operation(node.op)(*operands)
-            cache[fid] = value
-            return value
-
-        return sanitize_features(np.column_stack([evaluate(fid) for fid in self.live_ids]))
+        Raises ``ValueError`` on an invalid plan (see :meth:`validate`).
+        """
+        return compile_plan(self).apply(X)
 
     def expression(self, fid: int) -> str:
         """Infix formula of a feature in terms of the original columns."""
-        node = self.nodes[fid]
-        if node.op is None:
-            return self.feature_names[node.source_col]
-        operands = [self.expression(c) for c in node.children]
-        return get_operation(node.op).format(*operands)
+        return _format(self.nodes, self.feature_names, [fid])[0]
 
     def expressions(self) -> list[str]:
-        return [self.expression(fid) for fid in self.live_ids]
+        return _format(self.nodes, self.feature_names, self.live_ids)
 
     @property
     def n_features(self) -> int:
         return len(self.live_ids)
 
-    def validate(self) -> None:
+    def validate(self) -> list[int]:
         """Check the plan graph is executable; raise ``ValueError`` if not.
 
         Catches the failure modes that would otherwise surface as bare
-        ``KeyError``/``IndexError`` deep inside :meth:`apply`: live ids
-        missing from ``nodes``, dangling ``children`` references, source
-        columns outside ``[0, n_input_columns)``, unknown operations and
-        arity mismatches. Every message names the offending node id.
+        ``KeyError``/``IndexError`` or a wrong shape deep inside
+        :meth:`apply`: an empty live set, ``feature_names`` not naming
+        every input column, live ids missing from ``nodes``, dangling
+        ``children`` references, source columns outside
+        ``[0, n_input_columns)``, unknown operations, arity mismatches and
+        cycles. Every message names the offending node id or field.
+
+        Returns the features reachable from the live set in evaluation
+        order (operands before the features built on them).
         """
+        if not self.live_ids:
+            raise ValueError("live_ids is empty; a plan outputs at least one feature")
+        if len(self.feature_names) != self.n_input_columns:
+            raise ValueError(
+                f"feature_names has {len(self.feature_names)} names for "
+                f"{self.n_input_columns} input columns"
+            )
         missing = [fid for fid in self.live_ids if fid not in self.nodes]
         if missing:
             raise ValueError(f"live_ids reference unknown features: {missing}")
@@ -116,30 +173,7 @@ class TransformationPlan:
             dangling = [c for c in node.children if c not in self.nodes]
             if dangling:
                 raise ValueError(f"node {fid}: dangling children ids {dangling}")
-        # Cycle check (iterative DFS, 1 = on the current path, 2 = done):
-        # a cyclic graph would hang compilation and blow the interpreter's
-        # recursion limit instead of failing cleanly here.
-        state: dict[int, int] = {}
-        for root in self.live_ids:
-            if state.get(root) == 2:
-                continue
-            state[root] = 1
-            stack = [(root, iter(self.nodes[root].children))]
-            while stack:
-                fid, children = stack[-1]
-                pushed = False
-                for c in children:
-                    s = state.get(c)
-                    if s == 1:
-                        raise ValueError(f"node {c}: plan graph contains a cycle")
-                    if s != 2:
-                        state[c] = 1
-                        stack.append((c, iter(self.nodes[c].children)))
-                        pushed = True
-                        break
-                if not pushed:
-                    state[fid] = 2
-                    stack.pop()
+        return _post_order(self.nodes, self.live_ids)
 
     def to_json(self, indent: int | None = None) -> str:
         """Serialize the plan (nodes + live set) to a JSON string."""
@@ -161,25 +195,177 @@ class TransformationPlan:
 
     @classmethod
     def from_json(cls, data: str) -> "TransformationPlan":
-        """Rebuild a plan serialized by :meth:`to_json` (validated on load)."""
+        """Rebuild a plan serialized by :meth:`to_json` (validated on load).
+
+        Ids, ``source_col`` and ``n_input_columns`` must be JSON integers
+        and ``op`` a string or null; nothing is coerced, so a malformed
+        file fails here with a ``ValueError`` instead of on every apply.
+        """
         payload = json.loads(data)
-        nodes = {
-            int(raw["fid"]): FeatureNode(
-                fid=int(raw["fid"]),
-                op=raw["op"],
-                children=tuple(int(c) for c in raw["children"]),
-                source_col=raw["source_col"],
-            )
-            for raw in payload["nodes"]
-        }
+        nodes: dict[int, FeatureNode] = {}
+        for raw in payload["nodes"]:
+            fid = _json_int(raw["fid"], "node fid")
+            op, col = raw["op"], raw["source_col"]
+            if fid in nodes:
+                raise ValueError(f"node {fid}: duplicate fid")
+            if not (op is None or isinstance(op, str)):
+                raise ValueError(f"node {fid}: op must be a string or null, got {op!r}")
+            if col is not None:
+                _json_int(col, f"node {fid} source_col")
+            children = tuple(_json_ids(raw["children"], f"node {fid} children"))
+            nodes[fid] = FeatureNode(fid, op, children, col)
+        names = payload["feature_names"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"feature_names: expected a list of strings, got {names!r}")
         plan = cls(
             nodes=nodes,
-            live_ids=[int(i) for i in payload["live_ids"]],
-            n_input_columns=int(payload["n_input_columns"]),
-            feature_names=list(payload["feature_names"]),
+            live_ids=_json_ids(payload["live_ids"], "live_ids"),
+            n_input_columns=_json_int(payload["n_input_columns"], "n_input_columns"),
+            feature_names=names,
         )
         plan.validate()
         return plan
+
+
+@dataclass(frozen=True)
+class Instruction:
+    """One step of the flattened program.
+
+    ``op is None`` loads input column ``source_col`` into ``slot``;
+    otherwise the operation is applied to the values in ``args`` slots.
+    """
+
+    slot: int
+    op: str | None
+    args: tuple[int, ...] = ()
+    source_col: int | None = None
+
+
+@dataclass
+class CompiledPlan:
+    """A topologically-ordered, CSE-deduplicated executable plan.
+
+    Produced by :func:`compile_plan`. A run enters ``np.errstate`` once and
+    calls each operation's kernel (``Operation.fn``) and
+    :func:`~repro.core.operations.guard` directly: arity was checked at
+    compile time, and :meth:`apply` casts ``X`` to float once. Chunked
+    runs release each intermediate buffer after its last consumer, so
+    peak memory is bounded by ``chunk_size × live-slot count``.
+    """
+
+    n_input_columns: int
+    feature_names: list[str]
+    instructions: list[Instruction]
+    output_slots: list[int]
+    n_slots: int
+    n_nodes: int  # reachable FeatureNodes before CSE
+    # slot -> index of the last instruction that reads it (outputs are
+    # pinned past the end of the program); drives buffer release.
+    _last_use: list[int] = field(default_factory=list)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.output_slots)
+
+    @property
+    def n_merged(self) -> int:
+        """Nodes eliminated by common-subexpression elimination."""
+        return self.n_nodes - len(self.instructions)
+
+    def _run(self, X: np.ndarray, kernels: list[Callable | None], out: np.ndarray) -> None:
+        """Execute the program over ``X`` writing the live columns to ``out``."""
+        values: list[np.ndarray | None] = [None] * self.n_slots
+        with np.errstate(all="ignore"):
+            for i, ins in enumerate(self.instructions):
+                if ins.op is None:
+                    values[ins.slot] = X[:, ins.source_col]
+                else:
+                    values[ins.slot] = guard(kernels[i](*[values[a] for a in ins.args]))
+                # Release buffers whose last consumer just ran (streaming
+                # mode's memory bound); output slots have last_use beyond
+                # the program.
+                for a in ins.args:
+                    if self._last_use[a] == i:
+                        values[a] = None
+        for j, slot in enumerate(self.output_slots):
+            out[:, j] = values[slot]
+
+    def apply(self, X: np.ndarray, chunk_size: int | None = None) -> np.ndarray:
+        """Evaluate every live feature on ``X``; optionally in row chunks.
+
+        The output does not depend on ``chunk_size``: all operations are
+        elementwise, and the final sanitization pass (whose column medians
+        are global statistics) runs once over the fully assembled matrix.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_input_columns:
+            raise ValueError(
+                f"Plan was fitted on {self.n_input_columns} columns, got {X.shape}"
+            )
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
+        kernels = [
+            None if ins.op is None else get_operation(ins.op).fn for ins in self.instructions
+        ]
+        n = X.shape[0]
+        out = np.empty((n, self.n_features), dtype=float)
+        if chunk_size is None or chunk_size >= n:
+            self._run(X, kernels, out)
+        else:
+            for start in range(0, n, chunk_size):
+                stop = min(start + chunk_size, n)
+                self._run(X[start:stop], kernels, out[start:stop])
+        return sanitize_features(out)
+
+
+def compile_plan(plan: TransformationPlan) -> CompiledPlan:
+    """Validate a plan and compile it into a :class:`CompiledPlan`.
+
+    Nodes are keyed by ``(op, operand slots)`` / ``(source column)``, so
+    structurally identical derivations under distinct ids — which a search
+    leaves behind, as ``FeatureSpace`` dedups only against the live set —
+    are computed once. Every registered operation is elementwise, which
+    makes this common-subexpression elimination (and chunking) exact.
+    """
+    order = plan.validate()
+
+    instructions: list[Instruction] = []
+    slot_of_key: dict[tuple, int] = {}
+    slot_of_fid: dict[int, int] = {}
+    for fid in order:
+        node = plan.nodes[fid]
+        if node.op is None:
+            key: tuple = ("src", node.source_col)
+            args: tuple[int, ...] = ()
+        else:
+            args = tuple(slot_of_fid[c] for c in node.children)
+            key = (node.op, args)
+        slot = slot_of_key.get(key)
+        if slot is None:
+            slot = len(instructions)
+            slot_of_key[key] = slot
+            instructions.append(
+                Instruction(slot=slot, op=node.op, args=args, source_col=node.source_col)
+            )
+        slot_of_fid[fid] = slot
+
+    output_slots = [slot_of_fid[fid] for fid in plan.live_ids]
+    last_use = [-1] * len(instructions)
+    for i, ins in enumerate(instructions):
+        for a in ins.args:
+            last_use[a] = i
+    for slot in output_slots:
+        last_use[slot] = len(instructions)  # outputs are never released
+
+    return CompiledPlan(
+        n_input_columns=plan.n_input_columns,
+        feature_names=list(plan.feature_names),
+        instructions=instructions,
+        output_slots=output_slots,
+        n_slots=len(instructions),
+        n_nodes=len(order),
+        _last_use=last_use,
+    )
 
 
 class FeatureSpace:
@@ -445,11 +631,8 @@ class FeatureSpace:
     # -- traceability --------------------------------------------------------------
 
     def expression(self, fid: int) -> str:
-        node = self._nodes[fid]
-        if node.op is None:
-            return self.feature_names[node.source_col]
-        operands = [self.expression(c) for c in node.children]
-        return get_operation(node.op).format(*operands)
+        """Infix formula of a feature in terms of the original columns."""
+        return _format(self._nodes, self.feature_names, [fid])[0]
 
     def snapshot(self) -> TransformationPlan:
         """Freeze the current live set into a re-applicable plan."""

@@ -4,9 +4,10 @@ A FastFT search is expensive; its product — the transformation plan plus a
 fitted downstream model — should be cheap to reuse. This package makes the
 ``T*(F) → F*`` record operational:
 
-- :mod:`repro.serve.compile`  — flatten a :class:`TransformationPlan` DAG
-  into a vectorized, CSE-deduplicated program with chunked execution;
-  byte-identical to the interpreter, faster.
+- :mod:`repro.serve.compile`  — the plan compiler, re-exported from
+  :mod:`repro.core.sequence`: a :class:`TransformationPlan` DAG flattened
+  into the vectorized, CSE-deduplicated program ``plan.apply`` runs, with
+  chunked execution.
 - :mod:`repro.serve.artifact` — :class:`PipelineArtifact`: compiled plan +
   fitted model + provenance manifest, with versioned save/load and
   content-hash verification.

@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from repro._version import __version__
-from repro.core.sequence import TransformationPlan
+from repro.core.sequence import CompiledPlan, TransformationPlan, compile_plan
 from repro.ml.evaluation import TASKS
-from repro.serve.compile import CompiledPlan, compile_plan
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -155,7 +154,7 @@ class PipelineArtifact:
         return self._compiled
 
     def transform(self, X: np.ndarray, chunk_size: int | None = None) -> np.ndarray:
-        """Apply the compiled plan — byte-identical to ``plan.apply``."""
+        """Run the cached compiled program: ``plan.apply`` without the compile."""
         return self.compiled.apply(X, chunk_size=chunk_size)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

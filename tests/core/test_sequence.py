@@ -339,8 +339,9 @@ def _plan_payload(**overrides):
 
 
 class TestPlanValidation:
-    """from_json must reject broken graphs with a ValueError naming the
-    offending node, instead of a bare KeyError/IndexError inside apply."""
+    """from_json must reject broken graphs and malformed fields with a
+    ValueError naming the offending node or field, instead of loading and
+    failing (or returning a wrong shape) inside every apply."""
 
     def test_valid_payload_loads(self):
         import json
@@ -417,9 +418,57 @@ class TestPlanValidation:
                 },
                 "cycle",
             ),
+            *[
+                (
+                    {
+                        "live_ids": [0],
+                        "nodes": [{"fid": 0, "op": None, "children": [], "source_col": col}],
+                    },
+                    "node 0 source_col: expected an integer",
+                )
+                for col in (1.0, True, "1")
+            ],
+            (
+                {
+                    "nodes": [
+                        {"fid": 0, "op": None, "children": [], "source_col": 0},
+                        {"fid": 1, "op": None, "children": [], "source_col": 1},
+                        {"fid": 2, "op": ["x"], "children": [0, 1], "source_col": None},
+                    ]
+                },
+                "node 2: op must be a string or null",
+            ),
+            ({"live_ids": []}, "live_ids is empty"),
+            ({"feature_names": ["a"]}, "feature_names has 1 names for 2 input columns"),
+            (
+                {
+                    "nodes": [
+                        {"fid": 0, "op": None, "children": [], "source_col": 0},
+                        {"fid": 1, "op": None, "children": [], "source_col": 1},
+                        {"fid": 2, "op": "add", "children": [0, 1], "source_col": None},
+                        {"fid": 1, "op": "log", "children": [0], "source_col": None},
+                    ]
+                },
+                "node 1: duplicate fid",
+            ),
+            (
+                {
+                    "nodes": [
+                        {"fid": 0, "op": None, "children": [], "source_col": 0},
+                        {"fid": 1.5, "op": None, "children": [], "source_col": 1},
+                        {"fid": 2, "op": "add", "children": [0, 1], "source_col": None},
+                    ]
+                },
+                "node fid: expected an integer, got 1.5",
+            ),
+            ({"live_ids": [2.0]}, "live_ids: expected an integer"),
+            ({"n_input_columns": 2.0}, "n_input_columns: expected an integer"),
         ],
         ids=["missing-live", "dangling-child", "col-overflow", "col-none",
-             "unknown-op", "arity", "two-node-cycle", "self-cycle"],
+             "unknown-op", "arity", "two-node-cycle", "self-cycle",
+             "col-float", "col-bool", "col-string", "op-list", "empty-live",
+             "short-names", "duplicate-fid", "float-fid", "float-live-id",
+             "float-width"],
     )
     def test_broken_graphs_rejected(self, overrides, message):
         import json

@@ -1,10 +1,10 @@
 """Seed implementations kept as test oracles.
 
 Production (``src/repro``) carries one split engine, one feature store,
-one inner loop, one tree-descent kernel, one batched MI kernel and one
-operation guard. The implementations they replaced live here, unchanged
-in behaviour, so the bit-identity tests and the throughput benchmarks can
-compare production against them:
+one inner loop, one tree-descent kernel, one batched MI kernel, one
+operation guard and one plan executor. The implementations they replaced
+live here, unchanged in behaviour, so the bit-identity tests and the
+throughput benchmarks can compare production against them:
 
 - :mod:`tests.reference.split_engine`: the per-node-argsort split engine;
 - :mod:`tests.reference.sequence`: the dict-of-columns ``FeatureSpace``;
@@ -16,7 +16,9 @@ compare production against them:
   per-column discretizer and MI functions, and the double-loop Eq. 2
   merge;
 - :mod:`tests.reference.operations`: the ``nan_to_num``-then-``clip``
-  operation guard.
+  operation guard;
+- :mod:`tests.reference.plan`: the memoized recursive plan interpreter
+  and the recursive expression formatter.
 
 Import them as ``tests.reference.*`` only (the checkout root is on
 ``sys.path`` under ``python -m pytest``); a second import name would load

@@ -9,6 +9,8 @@ import pytest
 
 from repro._version import __version__
 from repro.serve import ARTIFACT_FORMAT, ArtifactRegistry, PipelineArtifact
+from repro.serve.artifact import _content_hash
+from tests.reference.plan import apply as reference_apply
 
 
 class TestArtifact:
@@ -25,7 +27,7 @@ class TestArtifact:
     def test_transform_matches_interpreter(self, artifact, search_result, serve_problem):
         X, _ = serve_problem
         np.testing.assert_array_equal(
-            artifact.transform(X), search_result.plan.apply(X), strict=True
+            artifact.transform(X), reference_apply(search_result.plan, X), strict=True
         )
 
     def test_predict_uses_fitted_model(self, artifact, serve_problem):
@@ -83,6 +85,23 @@ class TestArtifact:
             PipelineArtifact.load(path)
         # verify=False loads anyway (forensics escape hatch).
         assert PipelineArtifact.load(path, verify=False) is not None
+
+    def test_malformed_plan_with_valid_hash_refused(self, artifact, tmp_path):
+        """A float ``source_col`` under a recomputed content hash fails at
+        load time, not with an ``IndexError`` on every request after it."""
+        path = artifact.save(tmp_path / "art")
+        plan = json.loads((path / "plan.json").read_text())
+        source = next(node for node in plan["nodes"] if node["op"] is None)
+        source["source_col"] = float(source["source_col"])
+        plan_text = json.dumps(plan, indent=2) + "\n"
+        (path / "plan.json").write_text(plan_text)
+        manifest = json.loads((path / "manifest.json").read_text())
+        core = {k: v for k, v in manifest.items() if k not in PipelineArtifact._DERIVED_KEYS}
+        model_blob = (path / "model.pkl").read_bytes()
+        manifest["content_hash"] = _content_hash(plan_text, model_blob, core)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=rf"node {source['fid']} source_col: .* got \d\.0"):
+            PipelineArtifact.load(path)
 
     def test_tampered_manifest_fails_verification(self, artifact, tmp_path):
         path = artifact.save(tmp_path / "art")

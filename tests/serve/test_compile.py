@@ -1,4 +1,9 @@
-"""Tests for the plan compiler: byte-identity, CSE, chunking, validation."""
+"""Tests for the plan compiler: byte-identity, CSE, chunking, validation.
+
+Byte-identity is checked against the seed's recursive interpreter,
+``tests.reference.plan.apply``; ``TransformationPlan.apply`` itself runs
+the compiled program.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core.operations import BINARY_OPERATIONS, UNARY_OPERATIONS
-from repro.core.sequence import FeatureNode, FeatureSpace, TransformationPlan
-from repro.serve.compile import compile_plan
+from repro.core.sequence import FeatureNode, FeatureSpace, TransformationPlan, compile_plan
+from repro.serve import PipelineArtifact
+from tests.reference.plan import apply as reference_apply
 
 
 @pytest.fixture
@@ -49,14 +55,14 @@ class TestByteIdentity:
     def test_every_registered_op(self, every_op_plan):
         plan, X = every_op_plan
         compiled = compile_plan(plan)
-        expected = plan.apply(X)
+        expected = reference_apply(plan, X)
         np.testing.assert_array_equal(compiled.apply(X), expected, strict=True)
 
     def test_on_unseen_data(self, every_op_plan, rng):
         plan, _ = every_op_plan
         X_new = rng.normal(size=(33, 4)) * 10
         np.testing.assert_array_equal(
-            compile_plan(plan).apply(X_new), plan.apply(X_new), strict=True
+            compile_plan(plan).apply(X_new), reference_apply(plan, X_new), strict=True
         )
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 80, 200])
@@ -64,7 +70,7 @@ class TestByteIdentity:
         plan, X = every_op_plan
         compiled = compile_plan(plan)
         np.testing.assert_array_equal(
-            compiled.apply(X, chunk_size=chunk_size), plan.apply(X), strict=True
+            compiled.apply(X, chunk_size=chunk_size), reference_apply(plan, X), strict=True
         )
 
     def test_chunked_with_nonfinite_inputs(self, every_op_plan):
@@ -76,14 +82,14 @@ class TestByteIdentity:
         X[3::11, 2] = np.nan
         compiled = compile_plan(plan)
         np.testing.assert_array_equal(
-            compiled.apply(X, chunk_size=13), plan.apply(X), strict=True
+            compiled.apply(X, chunk_size=13), reference_apply(plan, X), strict=True
         )
 
     def test_duplicate_subtrees(self, rng):
         plan = _plan_with_duplicate_subtrees()
         X = rng.normal(size=(50, 3))
         np.testing.assert_array_equal(
-            compile_plan(plan).apply(X), plan.apply(X), strict=True
+            compile_plan(plan).apply(X), reference_apply(plan, X), strict=True
         )
 
 
@@ -104,11 +110,14 @@ class TestCompilation:
         fs.apply_unary("square", [0, 1])
         compiled = compile_plan(fs.snapshot())
         assert compiled.n_merged == 0
-        np.testing.assert_array_equal(compiled.apply(X), fs.snapshot().apply(X), strict=True)
+        np.testing.assert_array_equal(
+            compiled.apply(X), reference_apply(fs.snapshot(), X), strict=True
+        )
 
     def test_deep_plan_beyond_recursion_limit(self, rng):
-        """Compilation and execution are iterative; a chain deeper than
-        Python's recursion limit still runs."""
+        """Every plan walk is iterative; a chain deeper than Python's
+        recursion limit still compiles, runs, prints, round-trips through
+        JSON and serves."""
         depth = 5000
         nodes = {0: FeatureNode(0, None, (), 0)}
         for i in range(1, depth):
@@ -116,9 +125,16 @@ class TestCompilation:
         plan = TransformationPlan(
             nodes=nodes, live_ids=[depth - 1], n_input_columns=2, feature_names=["a", "b"]
         )
-        out = compile_plan(plan).apply(rng.normal(size=(10, 2)))
+        X = rng.normal(size=(10, 2))
+        out = compile_plan(plan).apply(X)
         assert out.shape == (10, 1)
         assert np.all(np.isfinite(out))
+        assert plan.apply(X).tobytes() == out.tobytes()
+        [formula] = plan.expressions()
+        assert formula == "tanh(" * (depth - 1) + "a" + ")" * (depth - 1)
+        assert TransformationPlan.from_json(plan.to_json()).to_json() == plan.to_json()
+        served = PipelineArtifact(plan, "classification").transform(X)
+        assert served.tobytes() == out.tobytes()
 
     def test_duplicate_live_ids_supported(self, rng):
         X = rng.normal(size=(20, 2))
@@ -127,8 +143,17 @@ class TestCompilation:
             nodes=nodes, live_ids=[1, 1, 0], n_input_columns=2, feature_names=["a", "b"]
         )
         np.testing.assert_array_equal(
-            compile_plan(plan).apply(X), plan.apply(X), strict=True
+            compile_plan(plan).apply(X), reference_apply(plan, X), strict=True
         )
+
+    def test_serve_reexports_the_core_compiler(self):
+        """``repro.serve.compile`` re-exports the very objects
+        ``TransformationPlan.apply`` uses, so patching one patches both."""
+        import repro.core.sequence as core
+        import repro.serve.compile as serve
+
+        for name in ("Instruction", "CompiledPlan", "compile_plan"):
+            assert getattr(serve, name) is getattr(core, name)
 
     def test_invalid_plan_rejected(self):
         plan = TransformationPlan(

@@ -8,9 +8,10 @@ silently:
   deterministic output, because the RL agents compose ops blindly and the
   downstream oracle requires finite matrices — and its one-pass guard is
   byte-identical to the seed's ``nan_to_num``-then-``clip`` pair;
-- the serving compiler is *exact* — on randomly-grown transformation
+- the plan compiler is *exact* — on randomly-grown transformation
   plans, compiled execution (plain and chunked) is byte-identical to the
-  interpreter, and plan JSON round-trips losslessly;
+  seed's recursive interpreter, the iterative formatter prints what the
+  seed's recursive one printed, and plan JSON round-trips losslessly;
 - the oracle cache key is a *content* signature — equal arrays collide,
   any element/dtype/shape/fingerprint perturbation separates.
 
@@ -36,9 +37,9 @@ from repro.core.operations import (  # noqa: E402
     UNARY_OPERATIONS,
     guard,
 )
-from repro.core.sequence import FeatureSpace, TransformationPlan  # noqa: E402
+from repro.core.sequence import FeatureSpace, TransformationPlan, compile_plan  # noqa: E402
 from repro.ml.cache import EvaluationCache  # noqa: E402
-from repro.serve.compile import compile_plan  # noqa: E402
+from tests.reference import plan as reference_plan  # noqa: E402
 from tests.reference.operations import guard as reference_guard  # noqa: E402
 from tests.reference.sequence import DictFeatureSpace  # noqa: E402
 
@@ -131,7 +132,12 @@ def test_ops_reject_wrong_arity(op):
 
 
 def _grow_random_plan(data) -> tuple[TransformationPlan, np.ndarray]:
-    """Draw a transformation plan the way the search grows one: by applying
+    space, X = _grow_random_space(data)
+    return space.snapshot(), X
+
+
+def _grow_random_space(data) -> tuple[FeatureSpace, np.ndarray]:
+    """Draw a feature space the way the search grows one: by applying
     drawn ops to the live feature set (including onto derived features)."""
     n = data.draw(st.integers(8, 30), label="rows")
     d = data.draw(st.integers(2, 4), label="cols")
@@ -155,18 +161,31 @@ def _grow_random_plan(data) -> tuple[TransformationPlan, np.ndarray]:
                 label="tails",
             )
             space.apply_binary(op.name, heads, tails, max_new=4, rng=rng)
-    return space.snapshot(), X
+    return space, X
 
 
 @SETTINGS
 @given(data=st.data())
 def test_compiled_plan_byte_identical_to_interpreter(data):
     plan, X = _grow_random_plan(data)
-    reference = plan.apply(X)
+    reference = reference_plan.apply(plan, X)
     compiled = compile_plan(plan)
     assert compiled.apply(X).tobytes() == reference.tobytes()
     chunk = data.draw(st.integers(1, X.shape[0]), label="chunk")
     assert compiled.apply(X, chunk_size=chunk).tobytes() == reference.tobytes()
+
+
+@SETTINGS
+@given(data=st.data())
+def test_formatter_matches_seed_recursion(data):
+    """The golden history digests hash every step's formulas, so the
+    iterative formatter must print exactly what the recursive one did."""
+    space, _ = _grow_random_space(data)
+    plan = space.snapshot()
+    assert plan.expressions() == reference_plan.expressions(plan)
+    for fid in plan.nodes:
+        expected = reference_plan.expression(plan, fid)
+        assert space.expression(fid) == plan.expression(fid) == expected
 
 
 @SETTINGS
