@@ -1,7 +1,7 @@
 """Serving front-end under open-loop load: saturation, shedding, hot swap.
 
-Three phases against the asyncio :class:`InferenceServer`, each on a fresh
-server so its PR 8 histograms cover exactly that phase:
+Three phases against the threaded :class:`InferenceServer`, each on a
+fresh server so its PR 8 histograms cover exactly that phase:
 
 1. **Saturation probe.** A burst of concurrent ``/predict`` requests (every
    arrival at t=0 — open-loop in the limit) measures rows/sec at
@@ -312,7 +312,7 @@ def test_serve_load(profile, save_report, tmp_path):
     swap = _phase_hot_swap(plan, rng, profile, tmp_path)
 
     lines = [
-        "Serve load — open-loop traffic against the asyncio front end",
+        "Serve load — open-loop traffic against the threaded HTTP front end",
         f"plan: {plan.n_features} live features over {plan.n_input_columns} inputs; "
         f"profile: {profile.name}",
         "latency quantiles read from the server's serve_request_seconds histogram",

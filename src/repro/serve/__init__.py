@@ -14,8 +14,9 @@ fitted downstream model — should be cheap to reuse. This package makes the
 - :mod:`repro.serve.registry` — :class:`ArtifactRegistry`: disk-backed
   versioned publish/get/list/latest with tag promotion.
 - :mod:`repro.serve.server`   — :class:`InferenceServer`: a micro-batching
-  JSON-over-HTTP server (``/transform``, ``/predict``, ``/healthz``) with
-  an in-process :class:`PipelineService` client for socket-free use.
+  JSON-over-HTTP server on the standard library's threaded HTTP server
+  (``/transform``, ``/predict``, ``/healthz``) with an in-process
+  :class:`PipelineService` client for socket-free use.
 
 Quickstart::
 
@@ -40,9 +41,11 @@ from repro.serve.registry import ArtifactRegistry
 from repro.serve.server import (
     DeadlineExceededError,
     InferenceServer,
+    InvalidRequestError,
     MicroBatcher,
     PipelineService,
     QueueFullError,
+    ServiceUnavailableError,
     ShadowRouter,
 )
 
@@ -57,8 +60,10 @@ __all__ = [
     "ArtifactRegistry",
     "DeadlineExceededError",
     "InferenceServer",
+    "InvalidRequestError",
     "MicroBatcher",
     "PipelineService",
     "QueueFullError",
+    "ServiceUnavailableError",
     "ShadowRouter",
 ]

@@ -22,10 +22,13 @@ Four layers, separable on purpose:
 - :class:`PipelineService` — the in-process client: ``transform``,
   ``predict`` and ``healthz`` against an artifact through the batcher,
   no sockets involved. Tests (and embedders) use this directly.
-- :class:`InferenceServer` — an asyncio HTTP/1.1 front end exposing the
-  service as JSON: ``POST /transform``, ``POST /predict``,
-  ``GET /healthz``, ``GET /metrics`` (Prometheus text format), and
-  ``POST /admin/reload`` for zero-downtime hot swap of a registry tag.
+- :class:`InferenceServer` — a standard-library
+  :class:`~http.server.ThreadingHTTPServer` exposing the service as JSON:
+  ``POST /transform``, ``POST /predict``, ``GET /healthz``, ``GET /metrics``
+  (Prometheus text format), and ``POST /admin/reload`` for zero-downtime
+  hot swap of a registry tag. Each connection's thread parses its requests
+  with the stdlib and waits in :meth:`MicroBatcher.wait_for`, the same wait
+  in-process callers use.
 
 Request/response shapes::
 
@@ -38,10 +41,14 @@ Request/response shapes::
     GET  /metrics                           -> Prometheus exposition text
     POST /admin/reload                      -> {"swapped": bool, ...}
 
-Error envelope: ``{"error": "..."}`` with 400 (bad input), 404 (unknown
-path), 429 + ``Retry-After`` (admission queue full), 504 (deadline
-expired), 500 (model blew up). A client disconnecting mid-response is
-counted under the ``disconnect`` status label and never kills a worker.
+Error envelope: ``{"error": "..."}`` on every error response, with 400
+(input rejected before it was queued), 404 (unknown path), 429 +
+``Retry-After`` (admission queue full), 500 (the batch raised), 501
+(``Transfer-Encoding`` or a method without a handler), 503 (batcher
+stopped, or the connection cap reached), 504 (deadline expired) and the
+stdlib parser's 414/431 for oversized request or header lines. A client
+disconnecting mid-response is counted under the ``disconnect`` status
+label and never kills a worker.
 
 Observability: the batcher always records per-request latency, queue
 wait (submit to batch claim) and per-batch latency histograms plus
@@ -56,15 +63,14 @@ divergence counters. An opt-in access log (``access_log=``, CLI
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import socket
 import sys
 import threading
 import time
-import traceback
 from collections import deque
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -77,9 +83,11 @@ from repro.serve.artifact import PipelineArtifact
 __all__ = [
     "DeadlineExceededError",
     "InferenceServer",
+    "InvalidRequestError",
     "MicroBatcher",
     "PipelineService",
     "QueueFullError",
+    "ServiceUnavailableError",
     "ShadowRouter",
 ]
 
@@ -97,7 +105,8 @@ _PROBA_ARGMAX_MODELS = (
 
 # Waiter-side poll interval: bounds how long a client can block after the
 # worker thread has died without an explicit wake-up (the worker normally
-# sets the event; the poll is the liveness backstop).
+# sets the event; the poll is the liveness backstop). A request's deadline
+# cuts the last poll short.
 _WAIT_POLL_SECONDS = 0.05
 
 
@@ -111,6 +120,14 @@ class QueueFullError(RuntimeError):
 
 class DeadlineExceededError(RuntimeError):
     """A request's deadline passed before its batch ran (HTTP 504)."""
+
+
+class ServiceUnavailableError(RuntimeError):
+    """The batcher is stopped or its worker thread died (HTTP 503)."""
+
+
+class InvalidRequestError(ValueError):
+    """A request rejected before it was queued (HTTP 400)."""
 
 
 def _artifact_version_label(artifact: PipelineArtifact) -> str:
@@ -131,17 +148,10 @@ class _Pending:
         "t_submit",
         "deadline",
         "cancelled",
-        "on_done",
         "served_by",
     )
 
-    def __init__(
-        self,
-        kind: str,
-        rows: np.ndarray,
-        deadline: float | None = None,
-        on_done=None,
-    ) -> None:
+    def __init__(self, kind: str, rows: np.ndarray, deadline: float | None = None) -> None:
         self.kind = kind
         self.rows = rows
         self.event = threading.Event()
@@ -150,7 +160,6 @@ class _Pending:
         self.t_submit = time.perf_counter()
         self.deadline = deadline  # absolute time.monotonic(), or None
         self.cancelled = False  # waiter gave up; worker skips the work
-        self.on_done = on_done  # called (exactly once) after event.set()
         self.served_by: str | None = None  # artifact version label
 
 
@@ -180,8 +189,9 @@ class MicroBatcher:
     Robustness: the worker finishing a request (setting its event,
     recording metrics) can no longer be skipped by an exception mid-batch,
     and waiters poll worker liveness — if the worker thread dies, current
-    and future submitters get a ``RuntimeError`` instead of blocking
-    forever. :meth:`close` fails still-queued requests the same way.
+    and future submitters get a :class:`ServiceUnavailableError` instead
+    of blocking forever. :meth:`close` fails still-queued requests the
+    same way.
     """
 
     def __init__(
@@ -277,24 +287,20 @@ class MicroBatcher:
         return max(1, min(60, math.ceil(p99 * (self.max_queue or 1))))
 
     def submit_nowait(
-        self,
-        kind: str,
-        rows: np.ndarray,
-        deadline: float | None = None,
-        on_done=None,
+        self, kind: str, rows: np.ndarray, deadline: float | None = None
     ) -> _Pending:
         """Enqueue one request without blocking; returns its handle.
 
         Raises :class:`QueueFullError` when the bounded queue is at
-        capacity and ``RuntimeError`` when the batcher is stopped or its
-        worker thread has died.
+        capacity and :class:`ServiceUnavailableError` when the batcher is
+        stopped or its worker thread has died.
         """
-        pending = _Pending(kind, rows, deadline=deadline, on_done=on_done)
+        pending = _Pending(kind, rows, deadline=deadline)
         with self._wake:
             if self._stopped:
-                raise RuntimeError("MicroBatcher is stopped")
+                raise ServiceUnavailableError("MicroBatcher is stopped")
             if not self._worker.is_alive():
-                raise RuntimeError(
+                raise ServiceUnavailableError(
                     "MicroBatcher worker thread has died; restart the service"
                 )
             if self.max_queue is not None and len(self._queue) >= self.max_queue:
@@ -312,11 +318,18 @@ class MicroBatcher:
     def wait_for(self, pending: _Pending) -> dict:
         """Block until ``pending`` finishes; raise its error if it failed.
 
-        Polls worker liveness so a dead worker raises ``RuntimeError``
-        instead of hanging, and enforces the request deadline on the
-        waiter side (the worker may be mid-batch and unable to check).
+        Polls worker liveness so a dead worker raises
+        :class:`ServiceUnavailableError` instead of hanging, and enforces
+        the request deadline on the waiter side (the worker may be
+        mid-batch and unable to check): the wait returns by the deadline,
+        not up to a poll interval after it.
         """
-        while not pending.event.wait(timeout=_WAIT_POLL_SECONDS):
+        while True:
+            timeout = _WAIT_POLL_SECONDS
+            if pending.deadline is not None:
+                timeout = max(0.0, min(timeout, pending.deadline - time.monotonic()))
+            if pending.event.wait(timeout=timeout):
+                break
             if pending.deadline is not None and time.monotonic() >= pending.deadline:
                 self.abandon(pending)
                 raise DeadlineExceededError(
@@ -328,7 +341,7 @@ class MicroBatcher:
                 # the liveness read.
                 if pending.event.wait(timeout=_WAIT_POLL_SECONDS):
                     break
-                raise RuntimeError(
+                raise ServiceUnavailableError(
                     "MicroBatcher worker thread died while the request was queued"
                 )
         if pending.error is not None:
@@ -382,11 +395,11 @@ class MicroBatcher:
     # -- worker side -----------------------------------------------------------
 
     def _finish(self, pending: _Pending) -> None:
-        """Complete one request: metrics, wake the waiter, fire the hook.
+        """Complete one request: metrics, then wake the waiter.
 
         Exception-safe by construction — ``event.set()`` runs in a
-        ``finally`` so a raising histogram or callback can never strand
-        the waiter (the pre-rebuild hang bug).
+        ``finally`` so a raising histogram can never strand the waiter
+        (the pre-rebuild hang bug).
         """
         if pending.event.is_set():
             return
@@ -399,11 +412,6 @@ class MicroBatcher:
                 ).inc()
         finally:
             pending.event.set()
-            if pending.on_done is not None:
-                try:
-                    pending.on_done(pending)
-                except Exception:
-                    pass
 
     def _fail_queued(self, message: str) -> None:
         with self._wake:
@@ -411,7 +419,7 @@ class MicroBatcher:
             self._queue.clear()
             self._queue_depth.set(0)
         for pending in leftovers:
-            pending.error = RuntimeError(message)
+            pending.error = ServiceUnavailableError(message)
             self._finish(pending)
 
     def _drain(self):
@@ -559,7 +567,7 @@ class MicroBatcher:
             )
             for p in batch:
                 if not p.event.is_set():
-                    p.error = RuntimeError(message)
+                    p.error = ServiceUnavailableError(message)
                     self._finish(p)
             self._fail_queued(message)
 
@@ -745,12 +753,12 @@ class PipelineService:
     def _rows(self, rows) -> np.ndarray:
         try:
             arr = np.asarray(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"rows must be numeric: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidRequestError(f"rows must be numeric: {exc}") from None
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2 or arr.shape[1] != self.artifact.plan.n_input_columns:
-            raise ValueError(
+            raise InvalidRequestError(
                 f"rows must be (n, {self.artifact.plan.n_input_columns}); "
                 f"got shape {arr.shape}"
             )
@@ -759,7 +767,7 @@ class PipelineService:
             # by the final sanitization pass, making a response depend on
             # which requests it was coalesced with; rejecting them keeps
             # micro-batching exact (every op output is already finite).
-            raise ValueError("rows must be finite numbers")
+            raise InvalidRequestError("rows must be finite numbers")
         return arr
 
     def resolve_deadline(self, deadline_ms: float | None = None) -> float | None:
@@ -767,32 +775,40 @@ class PipelineService:
         ms = deadline_ms if deadline_ms is not None else self.deadline_ms
         if ms is None:
             return None
-        if ms <= 0:
-            raise ValueError("deadline_ms must be > 0")
+        if not ms > 0:
+            raise InvalidRequestError("deadline_ms must be > 0")
         return time.monotonic() + ms / 1000.0
 
-    def submit_nowait(self, kind: str, rows, deadline: float | None = None, on_done=None):
-        """Validate and enqueue without blocking (the async front end)."""
-        return self.batcher.submit_nowait(
-            kind, self._rows(rows), deadline=deadline, on_done=on_done
-        )
+    def submit_nowait(self, kind: str, rows, deadline: float | None = None) -> _Pending:
+        """Validate and enqueue without blocking; ``batcher.wait_for`` waits.
+
+        Raises :class:`InvalidRequestError` for rows of the wrong shape or
+        with non-finite values, and for a predict against an artifact that
+        carries no model.
+        """
+        arr = self._rows(rows)
+        if kind == "predict" and self.artifact.model is None:
+            raise InvalidRequestError("artifact carries no downstream model")
+        return self.batcher.submit_nowait(kind, arr, deadline=deadline)
 
     def shadow_offer(self, kind: str, rows: np.ndarray, result: dict) -> None:
         if self.shadow is not None and result is not None:
             self.shadow.offer(kind, rows, result)
 
-    def _call(self, kind: str, rows) -> dict:
-        arr = self._rows(rows)
-        result = self.batcher.submit(kind, arr, deadline=self.resolve_deadline())
-        self.shadow_offer(kind, arr, result)
-        return result
+    def _call(self, kind: str, rows, deadline_ms: float | None = None) -> _Pending:
+        """The one submit-and-wait path, for in-process and HTTP callers:
+        validate, enqueue, wait for the batch, mirror to the shadow."""
+        pending = self.submit_nowait(kind, rows, deadline=self.resolve_deadline(deadline_ms))
+        result = self.batcher.wait_for(pending)
+        self.shadow_offer(kind, pending.rows, result)
+        return pending
 
     def transform(self, rows) -> np.ndarray:
-        return self._call("transform", rows)["features"]
+        return self._call("transform", rows).result["features"]
 
     def predict(self, rows) -> dict:
         """Returns ``{"predictions": ndarray, "proba": ndarray?}``."""
-        return self._call("predict", rows)
+        return self._call("predict", rows).result
 
     def reload(self, artifact: PipelineArtifact, version: str | None = None) -> str:
         """Hot-swap the served artifact; returns the previous version.
@@ -840,49 +856,191 @@ class PipelineService:
 # "other" so a scanner cannot explode label cardinality.
 _KNOWN_PATHS = ("/transform", "/predict", "/healthz", "/metrics", "/admin/reload")
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    501: "Not Implemented",
-    504: "Gateway Timeout",
-}
-
 _MAX_BODY_BYTES = 64 * 1024 * 1024
-_MAX_HEADER_LINES = 200
+# Seconds one socket read or write may block: a client that stalls mid
+# request, or sits idle on a keep-alive connection, is then disconnected.
+_IDLE_TIMEOUT_SECONDS = 30.0
+# Open connections, each holding a handler thread; the next one is
+# answered 503 and closed without starting a thread.
+_MAX_CONNECTIONS = 256
+# Listen backlog: load tests open dozens of connections at once.
+_BACKLOG = 128
+# How often the accept loop checks for shutdown; stop() waits up to this.
+_SHUTDOWN_POLL_SECONDS = 0.02
+# How long stop() lets in-flight requests finish before it closes the
+# service under them.
+_DRAIN_SECONDS = 5.0
 
 
-class _BadRequest(Exception):
-    """HTTP framing the server cannot read; answered with ``status`` (400
-    unless given), then the connection closes."""
-
-    def __init__(self, message: str, status: int = 400) -> None:
-        super().__init__(message)
-        self.status = status
-
-
-class _ClientGone(Exception):
-    """The client disconnected mid-response; counted, never fatal."""
-
-
-class _Request:
-    __slots__ = ("method", "target", "version", "headers", "body")
-
-    def __init__(self, method, target, version, headers, body):
-        self.method = method
-        self.target = target
-        self.version = version
-        self.headers = headers  # lower-cased names
-        self.body = body
+def _http_response(status: int, body: bytes, content_type: str, headers=()) -> bytes:
+    """Status line, headers and body as one buffer, for a single write:
+    a body sent behind a separate header write waits on a delayed ACK."""
+    head = [
+        f"HTTP/1.1 {status} {BaseHTTPRequestHandler.responses[status][0]}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}",
+        *(f"{name}: {value}" for name, value in headers),
+    ]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
 
 
-class InferenceServer:
-    """Asyncio HTTP front of a :class:`PipelineService`.
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: the stdlib parses each request, the handler answers
+    it through the server's :class:`PipelineService` and blocks in
+    :meth:`MicroBatcher.wait_for` while the request's batch runs."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        self.timeout = _IDLE_TIMEOUT_SECONDS  # read per connection: tests shorten it
+        super().setup()
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except OSError:
+            pass  # reset while idle or reading: close without a traceback
+
+    def log_message(self, format, *args) -> None:
+        pass  # the stdlib logs every error to stderr; access_log is opt-in
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's own rejections (request line, headers, method
+        without a handler) in the JSON envelope; the connection closes."""
+        code = int(code)
+        self.close_connection = True
+        path = self.path.partition("?")[0] if self.command else "other"
+        self._send_json(code, {"error": message or self.responses[code][0]}, path)
+
+    def _route(self) -> None:
+        # Strip the query string before routing *and* counting.
+        path = self.path.partition("?")[0]
+        body = self._read_body(path)
+        if body is None:  # answered, or the client left: framing is lost
+            self.close_connection = True
+            return
+        server = self.server
+        if self.command == "GET" and path == "/healthz":
+            payload = {**server.service.healthz(), "requests_served": server.requests_served}
+            self._send_json(200, payload, path)
+        elif self.command == "GET" and path == "/metrics":
+            text = server.service.metrics.render_prometheus()
+            self._send(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE, path)
+        elif self.command == "POST" and path in ("/transform", "/predict"):
+            self._inference(path, body)
+        elif self.command == "POST" and path == "/admin/reload":
+            self._reload(path)
+        else:
+            self._send_json(404, {"error": f"unknown path {path}"}, path)
+        server._note_request_served()
+
+    do_GET = do_POST = _route
+
+    def _read_body(self, path: str) -> bytes | None:
+        """The request body; None once the request was answered or the
+        client left."""
+        if "Transfer-Encoding" in self.headers:
+            # Only Content-Length framing is read; a chunked body left
+            # unread would be parsed as the next request.
+            self._send_json(501, {"error": "Transfer-Encoding is not supported"}, path)
+            return None
+        lengths = {value.strip() for value in self.headers.get_all("Content-Length", ())}
+        if len(lengths) > 1:
+            self._send_json(400, {"error": "conflicting Content-Length headers"}, path)
+            return None
+        if not lengths:
+            return b""
+        text = lengths.pop()
+        # ASCII digits only (int() also takes "+100" and "1_0_0"), and few
+        # enough that int() takes them (it refuses over 4300 digits).
+        length = int(text) if text.isascii() and text.isdigit() and len(text) < 20 else -1
+        if not 0 <= length <= _MAX_BODY_BYTES:
+            self._send_json(400, {"error": f"invalid Content-Length {text!r}"}, path)
+            return None
+        body = self.rfile.read(length)
+        if len(body) < length:  # the client closed mid-body
+            self.server._count_disconnect(path)
+            return None
+        return body
+
+    def _inference(self, path: str, body: bytes) -> None:
+        try:
+            rows = json.loads(body or b"{}")["rows"]
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            self._send_json(400, {"error": f"bad request body: {exc}"}, path)
+            return
+        deadline_ms = None
+        header = self.headers.get("X-Deadline-Ms")
+        if header:
+            try:
+                deadline_ms = float(header)
+                if not deadline_ms > 0:
+                    raise ValueError
+            except ValueError:
+                self._send_json(400, {"error": f"invalid X-Deadline-Ms: {header!r}"}, path)
+                return
+        kind = path[1:]
+        headers = ()
+        try:
+            pending = self.server.service._call(kind, rows, deadline_ms)
+        except InvalidRequestError as exc:
+            status, payload = 400, {"error": str(exc)}
+        except QueueFullError as exc:
+            status, payload = 429, {"error": str(exc), "retry_after": exc.retry_after}
+            headers = (("Retry-After", str(exc.retry_after)),)
+        except DeadlineExceededError as exc:
+            status, payload = 504, {"error": str(exc)}
+        except ServiceUnavailableError as exc:
+            status, payload = 503, {"error": str(exc)}
+        except Exception as exc:  # raised while the batch ran: a server fault
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            result = pending.result
+            if kind == "transform":
+                payload = {"features": result["features"].tolist()}
+            else:
+                payload = {"predictions": result["predictions"].tolist()}
+                if "proba" in result:
+                    payload["proba"] = result["proba"].tolist()
+            payload["artifact_version"] = pending.served_by
+            status = 200
+        self._send_json(status, payload, path, headers)
+
+    def _reload(self, path: str) -> None:
+        server = self.server
+        if server._reload_source is None:
+            error = "reload not configured; serve with --registry and --reload"
+            self._send_json(400, {"error": error}, path)
+            return
+        try:
+            status, payload = 200, server._reload()
+        except ValueError as exc:  # incompatible artifact shape
+            status, payload = 409, {"error": str(exc)}
+        except Exception as exc:
+            status, payload = 500, {"error": f"reload failed: {type(exc).__name__}: {exc}"}
+        self._send_json(status, payload, path)
+
+    def _send_json(self, status: int, payload: dict, path: str, headers=()) -> None:
+        self._send(status, json.dumps(payload).encode(), "application/json", path, headers)
+
+    def _send(self, status: int, body: bytes, content_type: str, path: str, headers=()) -> None:
+        """Write one response, counted before its bytes leave: a client that
+        reads it and then scrapes ``/metrics`` must find it counted. A write
+        the client's reset fails is counted under ``disconnect`` as well."""
+        server = self.server
+        server._count_response(path, status)
+        try:
+            self.wfile.write(_http_response(status, body, content_type, headers))
+        except OSError:
+            self.close_connection = True
+            server._count_disconnect(path)
+            status = "disconnect"
+        server._log_access(self.client_address[0], self.requestline, status)
+
+
+class InferenceServer(ThreadingHTTPServer):
+    """Threaded HTTP/1.1 front of a :class:`PipelineService`.
 
     ::
 
@@ -892,14 +1050,19 @@ class InferenceServer:
         server.stop()
 
     The listening socket is bound in ``__init__`` (so ``.url`` is valid
-    before serving starts); the event loop runs on a dedicated thread and
-    bridges to the batcher's worker via ``call_soon_threadsafe``, so slow
-    pipelines never block accepting connections.
+    before serving starts). The accept loop hands each connection to its
+    own thread, which parses requests with the standard library and blocks
+    in :meth:`MicroBatcher.wait_for` while its batch runs; slow pipelines
+    never block accepting connections. A connection idle or stalled for
+    ``_IDLE_TIMEOUT_SECONDS`` is closed, and one past ``_MAX_CONNECTIONS``
+    open connections is answered 503.
 
     ``max_requests`` (optional) shuts the server down after that many
     requests have been answered — the hook ``repro serve --max-requests``
     and the tests use for bounded runs. Also usable as a context manager
-    and blocking via :meth:`serve_forever`.
+    and blocking via :meth:`serve_forever`. :meth:`stop` lets in-flight
+    requests finish, closes idle keep-alive connections, then closes the
+    service; it is safe before :meth:`start` and when repeated.
 
     ``access_log`` opts into per-request log lines (CLI ``--access-log``):
     ``True`` logs to stderr, or pass any text stream.
@@ -911,6 +1074,8 @@ class InferenceServer:
     returning ``(artifact, version)`` — enables ``POST /admin/reload``
     hot swap, and ``shadow_artifact`` mirrors traffic to a challenger.
     """
+
+    request_queue_size = _BACKLOG
 
     def __init__(
         self,
@@ -944,26 +1109,27 @@ class InferenceServer:
         self._reload_source = reload_source
         self._reload_lock = threading.Lock()
         self._served = 0
-        self._served_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._drained = threading.Condition(self._lock)
+        self._connections: set[socket.socket] = set()
         self._done = threading.Event()
-        self._ready = threading.Event()
+        self._serving = False
+        self._stopping = False
         self._cleaned = False
-        self._stop_requested = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._shutdown_event: asyncio.Event | None = None
-        self._conn_tasks: set = set()
-        self._writers: set = set()
         self._thread: threading.Thread | None = None
-        # Bind eagerly: `.url` must work before start() (the CLI writes
-        # --url-file between construction and serve_forever()).
-        self._sock = socket.create_server((host, port), backlog=128)
-        self._address = self._sock.getsockname()[:2]
+        try:
+            # Bind eagerly: `.url` must work before start() (the CLI writes
+            # --url-file between construction and serve_forever()).
+            super().__init__((host, port), _Handler)
+        except OSError:
+            self.service.close()  # a taken port must not leak its threads
+            raise
 
     # -- public surface --------------------------------------------------------
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._address
+        return self.server_address[:2]
 
     @property
     def url(self) -> str:
@@ -972,38 +1138,39 @@ class InferenceServer:
 
     @property
     def requests_served(self) -> int:
-        with self._served_lock:
+        with self._lock:
             return self._served
 
     def start(self) -> "InferenceServer":
-        """Serve on a background thread; returns self once listening."""
+        """Serve on a background thread; returns self (already listening)."""
         if self._thread is not None:
             raise RuntimeError("Server already started")
-        self._thread = threading.Thread(target=self._serve_blocking, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RuntimeError("Server failed to start within 10s")
         return self
 
     def serve_forever(self) -> None:
         """Blocking serve (until stop(), Ctrl-C, or max_requests)."""
+        with self._lock:
+            self._serving = not self._stopping
         try:
-            self._serve_blocking()
+            if self._serving:
+                super().serve_forever(poll_interval=_SHUTDOWN_POLL_SECONDS)
         except KeyboardInterrupt:
             pass
+        finally:
+            self._cleanup()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until a ``max_requests`` shutdown has triggered."""
         return self._done.wait(timeout)
 
     def stop(self) -> None:
-        self._stop_requested = True
-        loop = self._loop
-        if loop is not None:
-            try:
-                loop.call_soon_threadsafe(self._signal_shutdown)
-            except RuntimeError:
-                pass  # loop already closed
+        with self._lock:
+            self._stopping = True
+            serving = self._serving
+        if serving:  # shutdown() would block forever without a serve loop
+            self.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
@@ -1015,162 +1182,64 @@ class InferenceServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- event loop ------------------------------------------------------------
+    # -- connections -----------------------------------------------------------
 
-    def _signal_shutdown(self) -> None:
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    def _serve_blocking(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            admitted = len(self._connections) < _MAX_CONNECTIONS
+            if admitted:
+                self._connections.add(request)
+        if admitted:
+            super().process_request(request, client_address)
+            return
+        self._count_response("other", 503)
+        error = json.dumps({"error": f"connection limit ({_MAX_CONNECTIONS}) reached"})
         try:
-            loop.run_until_complete(self._main())
-        finally:
-            self._loop = None
-            try:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.run_until_complete(loop.shutdown_default_executor())
-            except Exception:
-                pass
-            loop.close()
-            self._cleanup()
+            request.sendall(_http_response(503, error.encode(), "application/json"))
+        except OSError:
+            pass
+        self.shutdown_request(request)
 
-    async def _main(self) -> None:
-        self._shutdown_event = asyncio.Event()
-        if self._stop_requested or self._done.is_set():
-            self._shutdown_event.set()
-        server = await asyncio.start_server(self._handle_client, sock=self._sock)
-        self._ready.set()
-        try:
-            await self._shutdown_event.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            # Graceful drain: give in-flight handlers a moment, then abort
-            # lingering connections so shutdown stays bounded.
-            if self._conn_tasks:
-                await asyncio.wait(list(self._conn_tasks), timeout=1.0)
-            for writer in list(self._writers):
-                transport = writer.transport
-                if transport is not None:
-                    transport.abort()
-            if self._conn_tasks:
-                await asyncio.wait(list(self._conn_tasks), timeout=5.0)
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._lock:
+            self._connections.discard(request)
+            self._drained.notify_all()
 
     def _cleanup(self) -> None:
-        # May run from both the serving thread (max_requests) and stop().
-        with self._served_lock:
+        # Runs from the serving thread (max_requests, Ctrl-C) and from
+        # stop(); the first call does the work.
+        with self._lock:
             if self._cleaned:
                 return
             self._cleaned = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+            # Idle keep-alive readers see EOF; a response being computed
+            # still goes out on the open write side.
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+            self._drained.wait_for(lambda: not self._connections, timeout=_DRAIN_SECONDS)
+        self.server_close()
         self.service.close()
 
     def _note_request_served(self) -> None:
-        with self._served_lock:
+        with self._lock:
             self._served += 1
             done = self.max_requests is not None and self._served >= self.max_requests
         if done:
             self._done.set()
-            self._signal_shutdown()
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_client(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._writers.add(writer)
-        try:
-            await self._serve_connection(reader, writer)
-        except ConnectionError:
-            pass
-        except Exception:
-            # A handler bug must not kill the accept loop; surface it.
-            traceback.print_exc(file=sys.stderr)
-        finally:
-            self._writers.discard(writer)
-            self._conn_tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _read_request(self, reader) -> _Request | None:
-        try:
-            line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError, ValueError):
-            return None
-        if not line or not line.strip():
-            return None  # EOF / client closed between requests
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _BadRequest(f"malformed request line: {line!r}")
-        method, target, version = parts
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES):
-            raw = await reader.readline()
-            if not raw:
-                return None
-            text = raw.decode("latin-1").strip()
-            if not text:
-                break
-            name, sep, value = text.partition(":")
-            if sep:
-                name, value = name.strip().lower(), value.strip()
-                if name == "content-length" and headers.get(name, value) != value:
-                    raise _BadRequest("conflicting Content-Length headers")
-                headers[name] = value
-        else:
-            raise _BadRequest("too many header lines")
-        # Only Content-Length framing is read; a chunked body left unread
-        # would be parsed as the next request.
-        if "transfer-encoding" in headers:
-            raise _BadRequest("Transfer-Encoding is not supported", status=501)
-        body = b""
-        if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
-                raise _BadRequest("invalid Content-Length") from None
-            if length < 0 or length > _MAX_BODY_BYTES:
-                raise _BadRequest(f"Content-Length {length} out of range")
-            if length:
-                body = await reader.readexactly(length)
-        return _Request(method, target, version, headers, body)
-
-    async def _serve_connection(self, reader, writer) -> None:
-        while self._shutdown_event is not None and not self._shutdown_event.is_set():
-            try:
-                request = await self._read_request(reader)
-            except asyncio.IncompleteReadError:
-                self._count_disconnect("other")
-                return
-            except _BadRequest as exc:
-                try:
-                    await self._respond_json(writer, exc.status, {"error": str(exc)}, "other")
-                except _ClientGone:
-                    pass
-                return
-            if request is None:
-                return
-            keep_alive = await self._dispatch(request, writer)
-            self._note_request_served()
-            if not keep_alive:
-                return
+            self.shutdown()  # from a handler thread, so the serve loop is running
 
     # -- response plumbing -----------------------------------------------------
 
     def _count_response(self, path: str, status) -> None:
-        # Known paths only, so a scanner cannot explode label cardinality.
-        # `path` arrives pre-stripped of its query string (the pre-rebuild
-        # handler matched the raw target, miscounting `/healthz?probe=1`).
+        # Label values are strings: the registry sorts a path's series by
+        # label, and an int beside "disconnect" cannot be sorted.
         label = path if path in _KNOWN_PATHS else "other"
         self.service.metrics.counter(
-            "serve_http_responses", labels={"path": label, "status": status}
+            "serve_http_responses", labels={"path": label, "status": str(status)}
         ).inc()
 
     def _count_disconnect(self, path: str) -> None:
@@ -1180,198 +1249,21 @@ class InferenceServer:
         ).inc()
         self._count_response(path, "disconnect")
 
-    async def _respond(
-        self, writer, status: int, body: bytes, content_type: str, path: str,
-        extra_headers=(),
-    ) -> int:
-        head = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra_headers)
-        payload = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-        try:
-            writer.write(payload)
-            await writer.drain()
-        except ConnectionError:
-            self._count_disconnect(path)
-            raise _ClientGone from None
-        self._count_response(path, status)
-        return status
-
-    async def _respond_json(
-        self, writer, status: int, payload: dict, path: str, extra_headers=()
-    ) -> int:
-        body = json.dumps(payload).encode()
-        return await self._respond(
-            writer, status, body, "application/json", path, extra_headers
-        )
-
-    def _log_access(self, writer, method: str, target: str, status) -> None:
+    def _log_access(self, client: str, requestline: str, status) -> None:
         stream = self.access_log
         if stream is None:  # quiet by default
             return
-        peer = writer.get_extra_info("peername")
-        client = peer[0] if isinstance(peer, tuple) else "-"
         stamp = time.strftime("%d/%b/%Y %H:%M:%S")
-        stream.write(
-            f'{client} - - [{stamp}] "{method} {target} HTTP/1.1" {status} -\n'
-        )
+        stream.write(f'{client} - - [{stamp}] "{requestline}" {status} -\n')
         stream.flush()
 
-    # -- request dispatch ------------------------------------------------------
-
-    async def _dispatch(self, request: _Request, writer) -> bool:
-        # Strip the query string before routing *and* counting (the
-        # pre-rebuild handler matched the raw path, so `/healthz?probe=1`
-        # 404'd and was miscounted as "other").
-        path = request.target.partition("?")[0]
-        keep_alive = (
-            request.version != "HTTP/1.0"
-            and request.headers.get("connection", "").lower() != "close"
-        )
-        try:
-            if request.method == "GET" and path == "/healthz":
-                payload = dict(self.service.healthz())
-                payload["requests_served"] = self.requests_served
-                status = await self._respond_json(writer, 200, payload, path)
-            elif request.method == "GET" and path == "/metrics":
-                body = self.service.metrics.render_prometheus().encode("utf-8")
-                status = await self._respond(
-                    writer, 200, body, PROMETHEUS_CONTENT_TYPE, path
-                )
-            elif request.method == "POST" and path in ("/transform", "/predict"):
-                status = await self._handle_inference(request, writer, path)
-            elif request.method == "POST" and path == "/admin/reload":
-                status = await self._handle_reload(writer, path)
-            elif request.method in ("GET", "POST", "HEAD", "PUT", "DELETE"):
-                status = await self._respond_json(
-                    writer, 404, {"error": f"unknown path {path}"}, path
-                )
-            else:
-                status = await self._respond_json(
-                    writer, 405, {"error": f"unsupported method {request.method}"}, path
-                )
-        except _ClientGone:
-            self._log_access(writer, request.method, request.target, "disconnect")
-            return False
-        self._log_access(writer, request.method, request.target, status)
-        return keep_alive
-
-    async def _submit(self, kind: str, rows, deadline_ms: float | None):
-        """Bridge the batcher's threading.Event completion into asyncio."""
-        loop = asyncio.get_running_loop()
-        fut = loop.create_future()
-
-        def on_done(pending) -> None:
-            def resolve() -> None:
-                if not fut.done():
-                    fut.set_result(None)
-
-            try:
-                loop.call_soon_threadsafe(resolve)
-            except RuntimeError:
-                pass  # loop shut down while the batch was in flight
-
-        deadline = self.service.resolve_deadline(deadline_ms)
-        pending = self.service.submit_nowait(kind, rows, deadline=deadline, on_done=on_done)
-        if deadline is None:
-            await fut
-        else:
-            try:
-                await asyncio.wait_for(fut, timeout=max(deadline - time.monotonic(), 0.0))
-            except TimeoutError:
-                self.service.batcher.abandon(pending)
-                raise DeadlineExceededError(
-                    "deadline expired before the batch ran"
-                ) from None
-        if pending.error is not None:
-            raise pending.error
-        return pending
-
-    async def _handle_inference(self, request: _Request, writer, path: str) -> int:
-        try:
-            payload = json.loads(request.body or b"{}")
-            rows = payload["rows"]
-        except (ValueError, KeyError, TypeError) as exc:
-            return await self._respond_json(
-                writer, 400, {"error": f"bad request body: {exc}"}, path
-            )
-        deadline_ms = None
-        header = request.headers.get("x-deadline-ms")
-        if header:
-            try:
-                deadline_ms = float(header)
-                if deadline_ms <= 0:
-                    raise ValueError
-            except ValueError:
-                return await self._respond_json(
-                    writer, 400, {"error": f"invalid X-Deadline-Ms: {header!r}"}, path
-                )
-        kind = path.lstrip("/")
-        try:
-            pending = await self._submit(kind, rows, deadline_ms)
-        except QueueFullError as exc:
-            return await self._respond_json(
-                writer,
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                path,
-                extra_headers=(("Retry-After", str(exc.retry_after)),),
-            )
-        except DeadlineExceededError as exc:
-            return await self._respond_json(writer, 504, {"error": str(exc)}, path)
-        except (ValueError, RuntimeError) as exc:
-            return await self._respond_json(writer, 400, {"error": str(exc)}, path)
-        except Exception as exc:  # user-supplied model blew up: answer,
-            # don't drop the connection with a bare traceback
-            return await self._respond_json(
-                writer, 500, {"error": f"{type(exc).__name__}: {exc}"}, path
-            )
-        result = pending.result
-        if kind == "transform":
-            body = {"features": result["features"].tolist()}
-        else:
-            body = {"predictions": result["predictions"].tolist()}
-            if "proba" in result:
-                body["proba"] = result["proba"].tolist()
-        body["artifact_version"] = pending.served_by
-        self.service.shadow_offer(kind, pending.rows, result)
-        return await self._respond_json(writer, 200, body, path)
-
-    async def _handle_reload(self, writer, path: str) -> int:
-        if self._reload_source is None:
-            return await self._respond_json(
-                writer,
-                400,
-                {"error": "reload not configured; serve with --registry and --reload"},
-                path,
-            )
-        loop = asyncio.get_running_loop()
-
-        def load():
-            # Serialize reloads: two concurrent POSTs must not interleave
-            # resolve/load/swap.
-            with self._reload_lock:
-                artifact, version = self._reload_source()
-                previous = self.service.version
-                if version is not None and version == previous:
-                    return False, previous, previous
-                old = self.service.reload(artifact, version=version)
-                return True, self.service.version, old
-
-        try:
-            swapped, version, previous = await loop.run_in_executor(None, load)
-        except ValueError as exc:  # incompatible artifact shape
-            return await self._respond_json(writer, 409, {"error": str(exc)}, path)
-        except Exception as exc:
-            return await self._respond_json(
-                writer, 500, {"error": f"reload failed: {type(exc).__name__}: {exc}"}, path
-            )
-        return await self._respond_json(
-            writer,
-            200,
-            {"swapped": swapped, "version": version, "previous": previous},
-            path,
-        )
+    def _reload(self) -> dict:
+        # Serialized: two concurrent POSTs must not interleave
+        # resolve/load/swap.
+        with self._reload_lock:
+            artifact, version = self._reload_source()
+            previous = self.service.version
+            if version is not None and version == previous:
+                return {"swapped": False, "version": previous, "previous": previous}
+            previous = self.service.reload(artifact, version=version)
+            return {"swapped": True, "version": self.service.version, "previous": previous}

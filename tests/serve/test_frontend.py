@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.serve import server as server_module
 from repro.serve import (
     ArtifactRegistry,
     DeadlineExceededError,
@@ -310,6 +311,29 @@ class TestDeadlines:
         finally:
             gate_model.gate.set()
             t.join(timeout=10.0)
+            service.close()
+
+    def test_wait_returns_at_the_deadline_not_the_next_poll(
+        self, artifact, serve_problem, monkeypatch
+    ):
+        """The waiter only checked its deadline between liveness polls, so
+        it could answer up to a poll interval late."""
+        X, _ = serve_problem
+        monkeypatch.setattr(server_module, "_WAIT_POLL_SECONDS", 30.0)
+        gate_model = GateModel()
+        service = PipelineService(_variant(artifact, gate_model), max_batch_rows=1)
+        batcher = service.batcher
+        try:
+            first = service.submit_nowait("predict", X[:1])
+            assert _wait_until(lambda: batcher.n_batches >= 1)  # worker gated
+            queued = service.submit_nowait("predict", X[:1], deadline=time.monotonic() + 0.1)
+            t0 = time.monotonic()
+            with pytest.raises(DeadlineExceededError):
+                batcher.wait_for(queued)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            gate_model.gate.set()
+            batcher.wait_for(first)
             service.close()
 
     def test_http_deadline_header_answers_504(self, artifact, serve_problem):
@@ -618,3 +642,57 @@ class TestBodyFramingRegression:
             )
             assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
             assert reply.count(b"HTTP/1.1 ") == 1
+
+    # int() also parses "+123" and "1_2_3"; both were read as 123-byte
+    # bodies and answered 200.
+    @pytest.mark.parametrize(
+        "spell", [lambda n: f"+{n}", lambda n: "_".join(str(n))], ids=["plus", "underscores"]
+    )
+    def test_non_digit_content_length_is_answered_400(self, artifact, serve_problem, spell):
+        X, _ = serve_problem
+        payload = json.dumps({"rows": X[:1].tolist()}).encode()
+        length = b"Content-Length: " + spell(len(payload)).encode()
+        with InferenceServer(artifact, port=0, max_wait_ms=0.0) as server:
+            reply = _raw_exchange(server.address, self._head(length) + payload)
+            assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"invalid Content-Length" in reply
+            assert reply.count(b"HTTP/1.1 ") == 1
+
+
+class TestIdleTimeout:
+    """A connection that sent half a request line held its reader forever."""
+
+    def test_stalled_request_is_closed_and_server_keeps_serving(
+        self, artifact, serve_problem, monkeypatch
+    ):
+        X, _ = serve_problem
+        monkeypatch.setattr(server_module, "_IDLE_TIMEOUT_SECONDS", 0.2)
+        with InferenceServer(artifact, port=0, max_wait_ms=0.0) as server:
+            with socket.create_connection(server.address, timeout=10) as conn:
+                conn.sendall(b"POST /pred")
+                t0 = time.monotonic()
+                assert conn.recv(1024) == b""  # closed, no response
+                assert time.monotonic() - t0 < 5.0
+            assert _post(server.url + "/predict", {"rows": X[:1].tolist()})["predictions"]
+
+
+class TestConnectionCap:
+    def test_connection_over_the_cap_is_answered_503(
+        self, artifact, serve_problem, monkeypatch
+    ):
+        X, _ = serve_problem
+        monkeypatch.setattr(server_module, "_MAX_CONNECTIONS", 2)
+        with InferenceServer(artifact, port=0, max_wait_ms=0.0) as server:
+            held = [socket.create_connection(server.address, timeout=10) for _ in range(2)]
+            try:
+                reply = _raw_exchange(server.address, b"")
+                assert reply.startswith(b"HTTP/1.1 503 Service Unavailable\r\n")
+                assert b"connection limit" in reply
+            finally:
+                for conn in held:
+                    conn.close()
+            # Closed connections free their slots.
+            assert _wait_until(lambda: not server._connections)
+            assert _post(server.url + "/predict", {"rows": X[:1].tolist()})["predictions"]
+            metrics = _get(server.url + "/metrics")
+            assert 'serve_http_responses_total{path="other",status="503"} 1' in metrics

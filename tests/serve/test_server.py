@@ -75,6 +75,8 @@ class TestEndToEnd:
                 (server.url + "/predict", json.dumps({"wrong": 1}).encode()),
                 (server.url + "/predict", json.dumps({"rows": [[1.0, 2.0]]}).encode()),
                 (server.url + "/predict", json.dumps({"rows": [[1, 2, 3, None]]}).encode()),
+                # An integer no float can hold was answered 500.
+                (server.url + "/predict", json.dumps({"rows": [[10**400, 2, 3, 4]]}).encode()),
             ]
             for url, data in cases:
                 with pytest.raises(urllib.error.HTTPError) as err:
@@ -110,20 +112,50 @@ class TestEndToEnd:
     def test_broken_model_returns_500_and_keeps_serving(self, artifact, serve_problem):
         from repro.serve import PipelineArtifact
 
-        class _BrokenModel:
-            def predict(self, X):
-                raise KeyError("boom")
-
         X, _ = serve_problem
-        broken = PipelineArtifact(artifact.plan, "classification", model=_BrokenModel())
-        with InferenceServer(broken, port=0, max_wait_ms=0.5) as server:
+        # ValueError and RuntimeError raised by the model were answered
+        # 400, as if the client had sent bad input.
+        for error in (KeyError, ValueError, RuntimeError):
+
+            class _BrokenModel:
+                def predict(self, X, error=error):
+                    raise error("boom")
+
+            broken = PipelineArtifact(artifact.plan, "classification", model=_BrokenModel())
+            with InferenceServer(broken, port=0, max_wait_ms=0.5) as server:
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _post(server.url + "/predict", {"rows": X[:1].tolist()})
+                assert err.value.code == 500
+                assert error.__name__ in json.loads(err.value.read())["error"]
+                # The connection was answered, not dropped, and the server lives.
+                body = _post(server.url + "/transform", {"rows": X[:1].tolist()})
+                assert len(body["features"]) == 1
+
+    def test_stopped_batcher_returns_503(self, artifact, serve_problem):
+        X, _ = serve_problem
+        with InferenceServer(artifact, port=0) as server:
+            server.service.batcher.close()
             with pytest.raises(urllib.error.HTTPError) as err:
                 _post(server.url + "/predict", {"rows": X[:1].tolist()})
-            assert err.value.code == 500
-            assert "KeyError" in json.loads(err.value.read())["error"]
-            # The connection was answered, not dropped, and the server lives.
-            body = _post(server.url + "/transform", {"rows": X[:1].tolist()})
-            assert len(body["features"]) == 1
+            assert err.value.code == 503
+            assert "stopped" in json.loads(err.value.read())["error"]
+
+    def test_predict_without_model_is_400_before_queueing(self, artifact, serve_problem):
+        X, _ = serve_problem
+        bare = PipelineArtifact(artifact.plan, "classification")
+        with InferenceServer(bare, port=0) as server:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(server.url + "/predict", {"rows": X[:1].tolist()})
+            assert err.value.code == 400
+            assert "no downstream model" in json.loads(err.value.read())["error"]
+            assert server.service.batcher.stats()["requests"] == 0
+
+    def test_failed_bind_leaks_no_threads(self, artifact):
+        with InferenceServer(artifact, port=0) as server:
+            before = set(threading.enumerate())
+            with pytest.raises(OSError):
+                InferenceServer(artifact, port=server.address[1], shadow_artifact=artifact)
+            assert set(threading.enumerate()) - before == set()
 
 
 class TestMicroBatching:
