@@ -22,6 +22,16 @@ _TUPLE_FIELDS = ("predictor_head_dims", "novelty_head_dims")
 _REMOVED_FIELDS = ("inner_loop", "oracle_engine")
 
 
+def _reject_unknown_fields(extra: set[str]) -> None:
+    """Refuse fields this build never had (a newer build's file, most likely)."""
+    unknown = sorted(extra - set(_REMOVED_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"unknown FastFTConfig field(s): {', '.join(unknown)} (written "
+            "by a newer build?); refusing to load with defaults in their place"
+        )
+
+
 @dataclass
 class FastFTConfig:
     # -- exploration schedule (§V Hyperparameter 1) --
@@ -164,8 +174,10 @@ class FastFTConfig:
 
     def __setstate__(self, state: dict) -> None:
         # Configs pickled by older builds (session checkpoints, job results)
-        # may carry fields since removed; keep only the ones this build has.
+        # may carry fields since removed; those are dropped. Any other
+        # unknown field fails the load, as it does in from_jsonable.
         known = {f.name for f in fields(self)}
+        _reject_unknown_fields(set(state) - known)
         self.__dict__.update({k: v for k, v in state.items() if k in known})
 
     def resolved_max_features(self, n_original: int) -> int:
@@ -194,12 +206,7 @@ class FastFTConfig:
         The tuple-typed head-dims fields are converted back from lists.
         """
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known - set(_REMOVED_FIELDS))
-        if unknown:
-            raise ValueError(
-                f"unknown FastFTConfig field(s): {', '.join(unknown)} (written "
-                "by a newer build?); refusing to load with defaults in their place"
-            )
+        _reject_unknown_fields(set(payload) - known)
         raw = {k: v for k, v in payload.items() if k in known}
         for key in _TUPLE_FIELDS:
             if key in raw and raw[key] is not None:

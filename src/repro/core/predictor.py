@@ -155,9 +155,11 @@ class PerformancePredictor:
         The session's trigger loop scores candidates through this entry
         point. Batching is *exact*: every row is bit-identical to the
         corresponding :meth:`predict` call, for any mix of ragged
-        lengths (see :meth:`SequenceRegressor.infer_batch`). The padded
-        ULP-drifty multi-sequence forward survives only inside
-        :meth:`fit`, where its arithmetic is part of the pinned training
+        lengths (see :meth:`SequenceRegressor.infer_batch`): the encoder
+        runs its one unroll with row-wise products. The padded
+        multi-sequence forward with flat, ULP-drifty products survives
+        only inside :meth:`fit`, where the LSTM trains through it as one
+        fused op and its arithmetic is part of the pinned training
         goldens.
         """
         return self.model.infer_batch(sequences)

@@ -162,6 +162,8 @@ class SearchSession:
         self.last_episode_setup_seconds = 0.0
         self.last_reconcile_seconds = 0.0
         self.last_retrain_seconds = 0.0
+        self.last_predictor_fit_seconds = 0.0
+        self.last_novelty_fit_seconds = 0.0
 
     # -- lifecycle observability ------------------------------------------------
 
@@ -773,11 +775,16 @@ class SearchSession:
                     epochs=cfg.component_epochs,
                     rng=self._rng,
                 )
+            t2 = time.perf_counter()
             if self._novelty is not None:
                 self._novelty.fit(
                     list(self._seen_sequences), epochs=cfg.component_epochs, rng=self._rng
                 )
-            self.last_retrain_seconds = time.perf_counter() - t1
+            self.last_predictor_fit_seconds = t2 - t1
+            self.last_novelty_fit_seconds = time.perf_counter() - t2
+            self.last_retrain_seconds = (
+                self.last_predictor_fit_seconds + self.last_novelty_fit_seconds
+            )
             self._timers.estimation += self.last_retrain_seconds
             self._components_trained = True
             stage = "cold_start" if finished_cold_start else "fine_tune"
@@ -955,6 +962,8 @@ class SearchSession:
             "last_episode_setup_seconds",
             "last_reconcile_seconds",
             "last_retrain_seconds",
+            "last_predictor_fit_seconds",
+            "last_novelty_fit_seconds",
         ):
             if name not in state:
                 setattr(self, name, 0.0)

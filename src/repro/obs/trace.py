@@ -295,7 +295,9 @@ class TracingCallback(Callback):
       durations the session already measures — no extra clock reads);
     - ``evaluation``-bucket spans for the base-score measurement and
       async reconciles, ``estimation``-bucket spans for component
-      (re)training, ``optimization``-bucket spans for episode setup;
+      (re)training (with ``predictor_fit`` and ``novelty_fit`` children,
+      which are not bucket spans), ``optimization``-bucket spans for
+      episode setup;
     - counters/gauges/histograms: steps, real/deferred evaluations,
       oracle cache hits/misses, step-latency histogram, best score.
 
@@ -330,11 +332,11 @@ class TracingCallback(Callback):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _bucket_span(self, name: str, duration: float, **attrs) -> None:
+    def _bucket_span(self, name: str, duration: float, **attrs) -> int | None:
         if duration <= 0.0:
-            return
+            return None
         self._traced[name] += duration
-        self.tracer.record_span(name, duration, **attrs)
+        return self.tracer.record_span(name, duration, **attrs)
 
     # -- callback protocol -------------------------------------------------------
 
@@ -417,13 +419,22 @@ class TracingCallback(Callback):
             tracer.count("oracle.degraded", degraded)
 
     def on_retrain(self, session, episode, stage) -> None:
-        self._bucket_span(
-            "estimation",
-            getattr(session, "last_retrain_seconds", 0.0),
-            kind="retrain",
-            stage=stage,
-            episode=episode,
+        retrain = getattr(session, "last_retrain_seconds", 0.0)
+        start = time.perf_counter() - retrain
+        sid = self._bucket_span(
+            "estimation", retrain, start=start, kind="retrain", stage=stage, episode=episode
         )
+        if sid is not None:
+            # The retrain is the two fits back to back; the session sums
+            # their durations into it, so the children tile the span.
+            predictor_fit = getattr(session, "last_predictor_fit_seconds", 0.0)
+            self.tracer.record_span("predictor_fit", predictor_fit, start=start, parent=sid)
+            self.tracer.record_span(
+                "novelty_fit",
+                getattr(session, "last_novelty_fit_seconds", 0.0),
+                start=start + predictor_fit,
+                parent=sid,
+            )
         self.tracer.count("search.retrains")
 
     def on_episode_end(self, session, episode) -> None:

@@ -168,3 +168,11 @@ class TestRemovedSwitches:
         restored = pickle.loads(pickle.dumps(cfg))
         assert restored == FastFTConfig(seed=5)
         assert not {"inner_loop", "oracle_engine"} & set(vars(restored))
+
+    def test_pickled_config_rejects_unknown_key(self):
+        """A pickled config (session checkpoint, fleet result) with a field
+        no build ever had fails the load, naming it, as JSON configs do."""
+        cfg = FastFTConfig(seed=5)
+        vars(cfg).update(future_field=1, inner_loop="naive")
+        with pytest.raises(ValueError, match="unknown FastFTConfig field.*future_field"):
+            pickle.loads(pickle.dumps(cfg))

@@ -252,6 +252,30 @@ class TestCheckpointResume:
         assert deterministic_history(result) == deterministic_history(uninterrupted)
         assert result.config == uninterrupted.config
 
+    def test_checkpoint_from_before_the_retrain_split_resumes(self, problem, tmp_path):
+        """Checkpoints written before the retrain was split into its two
+        fits carry only ``last_retrain_seconds``: the fit timings default
+        to 0.0 on resume, and the next retrain sets all three again."""
+        X, y = problem
+        session = SearchSession(X, y, "classification", config=tiny_config())
+        for _ in range(4):  # through the cold-start retrain
+            session.step()
+        assert session.last_retrain_seconds > 0.0
+        for name in ("last_predictor_fit_seconds", "last_novelty_fit_seconds"):
+            del vars(session)[name]
+        path = str(tmp_path / "before_split.ckpt")
+        session.checkpoint(path)
+
+        resumed = SearchSession.resume(path)
+        assert resumed.last_predictor_fit_seconds == 0.0
+        assert resumed.last_novelty_fit_seconds == 0.0
+        resumed.run()
+        assert resumed.last_predictor_fit_seconds > 0.0
+        assert resumed.last_novelty_fit_seconds > 0.0
+        assert resumed.last_retrain_seconds == (
+            resumed.last_predictor_fit_seconds + resumed.last_novelty_fit_seconds
+        )
+
     def test_checkpoint_before_start(self, problem, tmp_path):
         X, y = problem
         session = SearchSession(X, y, "classification", config=tiny_config())

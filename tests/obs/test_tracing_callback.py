@@ -82,6 +82,25 @@ class TestTracedSearch:
         assert step_children
         assert all(s["parent"] in step_ids for s in step_children)
 
+    def test_retrain_span_is_its_two_fits(self, traced_run):
+        """Each retrain span has a predictor_fit and a novelty_fit child,
+        and its duration is their sum, bit for bit. The children are not
+        bucket spans, so the Table II totals above count the retrain once."""
+        _, trace = traced_run
+        retrains = [
+            s
+            for s in trace.spans_named("estimation")
+            if s.get("attrs", {}).get("kind") == "retrain"
+        ]
+        # One retrain after the cold start and one per later episode.
+        assert len(retrains) == CONFIG["episodes"]
+        for span in retrains:
+            children = {s["name"]: s for s in trace.spans if s.get("parent") == span["id"]}
+            assert set(children) == {"predictor_fit", "novelty_fit"}
+            fits = children["predictor_fit"]["dur"] + children["novelty_fit"]["dur"]
+            assert span["dur"] == fits
+            assert children["predictor_fit"]["t"] <= children["novelty_fit"]["t"]
+
     def test_search_metrics(self, traced_run):
         result, trace = traced_run
         assert trace.metrics.counter("search.steps").value == len(result.history)

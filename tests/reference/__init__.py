@@ -2,9 +2,10 @@
 
 Production (``src/repro``) carries one split engine, one feature store,
 one inner loop, one tree-descent kernel, one batched MI kernel, one
-operation guard and one plan executor. The implementations they replaced
-live here, unchanged in behaviour, so the bit-identity tests and the
-throughput benchmarks can compare production against them:
+operation guard, one plan executor and one LSTM unroll. The
+implementations they replaced live here, unchanged in behaviour, so the
+bit-identity tests and the throughput benchmarks can compare production
+against them:
 
 - :mod:`tests.reference.split_engine`: the per-node-argsort split engine;
 - :mod:`tests.reference.sequence`: the dict-of-columns ``FeatureSpace``;
@@ -18,7 +19,9 @@ throughput benchmarks can compare production against them:
 - :mod:`tests.reference.operations`: the ``nan_to_num``-then-``clip``
   operation guard;
 - :mod:`tests.reference.plan`: the memoized recursive plan interpreter
-  and the recursive expression formatter.
+  and the recursive expression formatter;
+- :mod:`tests.reference.recurrent`: the per-step autograd LSTM unroll,
+  as an ``LSTMEncoder`` subclass.
 
 Import them as ``tests.reference.*`` only (the checkout root is on
 ``sys.path`` under ``python -m pytest``); a second import name would load
