@@ -9,7 +9,6 @@ t-statistic/p-value of FastFT against each baseline across datasets.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.data import DATASET_SPECS
 from repro.experiments.harness import (
@@ -40,6 +39,8 @@ def run(
     methods: list[str] | None = None,
 ) -> dict:
     """Execute the sweep; returns per-dataset per-method score statistics."""
+    from scipy import stats
+
     datasets = datasets or DEFAULT_DATASETS
     methods = methods or METHOD_ORDER
     scores: dict[str, dict[str, list[float]]] = {d: {m: [] for m in methods} for d in datasets}

@@ -2,9 +2,12 @@
 
 FastFT treats the downstream task as a black-box oracle ``A(F, y) -> score``.
 This subpackage provides everything that oracle needs, implemented from
-scratch on numpy/scipy: estimators (trees, forests, boosting, linear models,
+scratch on numpy: estimators (trees, forests, boosting, linear models,
 SVM, k-NN), metrics, preprocessing, cross-validation and mutual-information
-estimators.
+estimators. Only three estimators need scipy, and each imports it on
+first use: ``LogisticRegression`` and ``LinearSVMClassifier`` (L-BFGS) on
+their first fit, and the ``KNeighbors*`` estimators (``cdist``) on their
+first prediction. Importing this package never loads scipy.
 
 The public surface mirrors scikit-learn's API (``fit`` / ``predict`` /
 ``predict_proba`` / ``get_params``) so examples read like ordinary sklearn

@@ -3,13 +3,13 @@
 Used by the Table III robustness study (LR, Ridge-C) and by fast baselines
 that need a cheap downstream oracle. Logistic regression is trained with
 L-BFGS (scipy) on the L2-regularized multinomial log-likelihood; ridge has a
-closed form.
+closed form. scipy loads on the first ``LogisticRegression.fit``, so a
+process that never fits one (search, sweep, serving) never imports it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_array, check_X_y
 from repro.ml.preprocessing import StandardScaler
@@ -41,6 +41,8 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         self._scaler: StandardScaler | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
+        from scipy import optimize
+
         X, y = check_X_y(X, y)
         self._scaler = StandardScaler().fit(X)
         Xs = self._scaler.transform(X)

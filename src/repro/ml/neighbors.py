@@ -1,9 +1,11 @@
-"""k-nearest-neighbor classifier and regressor (brute force, scipy cdist)."""
+"""k-nearest-neighbor classifier and regressor (brute force, scipy cdist).
+
+scipy loads on the first neighbor query (``predict`` or ``predict_proba``).
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_array, check_X_y
 from repro.ml.preprocessing import StandardScaler
@@ -28,6 +30,8 @@ class _BaseKNN(BaseEstimator):
         return self
 
     def _neighbor_indices(self, X: np.ndarray) -> np.ndarray:
+        from scipy.spatial.distance import cdist
+
         if self._X is None:
             raise RuntimeError("Model is not fitted")
         Xs = self._scaler.transform(check_array(X))

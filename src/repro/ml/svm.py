@@ -2,13 +2,13 @@
 
 Stand-in for sklearn's ``LinearSVC`` used in the Table III robustness study.
 Multiclass is one-vs-rest; the squared hinge keeps the objective smooth so
-L-BFGS converges reliably.
+L-BFGS converges reliably. The L-BFGS solver is scipy's, which loads on the
+first fit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, check_array, check_X_y
 from repro.ml.preprocessing import StandardScaler
@@ -30,6 +30,8 @@ class LinearSVMClassifier(BaseEstimator, ClassifierMixin):
         self._scaler: StandardScaler | None = None
 
     def _fit_binary(self, X: np.ndarray, y_signed: np.ndarray) -> tuple[np.ndarray, float]:
+        from scipy import optimize
+
         n, d = X.shape
         lam = 1.0 / (self.C * n)
 

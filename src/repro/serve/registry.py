@@ -14,6 +14,8 @@ Versions are immutable and monotonically numbered; publishing writes to a
 temporary directory and renames it into place, so a crashed publish never
 leaves a half-written version visible. Tags are mutable pointers
 (``promote``) — the usual "serve whatever *prod* points at" workflow.
+``tags.json`` is published with :func:`~repro.core.fsio.atomic_write_text`,
+so a reader sees the previous or the new mapping, never a torn file.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import re
 import shutil
 from pathlib import Path
 
+from repro.core.fsio import atomic_write_text
 from repro.serve.artifact import PipelineArtifact
 
 __all__ = ["ArtifactRegistry"]
@@ -205,7 +208,4 @@ class ArtifactRegistry:
             )
         tags = self._read_tags(name)
         tags[tag] = resolved
-        path = self._tags_path(name)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(tags, indent=2, sort_keys=True) + "\n")
-        tmp.rename(path)
+        atomic_write_text(self._tags_path(name), json.dumps(tags, indent=2, sort_keys=True) + "\n")

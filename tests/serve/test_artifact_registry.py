@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -219,3 +221,52 @@ class TestRegistry:
             reg.publish(artifact, "demo")
         assert reg.versions("demo") == []
         assert not any((tmp_path / "reg" / "demo").glob(".tmp-*"))
+
+    def test_concurrent_promotions_never_tear_tags(self, artifact, tmp_path):
+        # Two promoters of one tag race a reader re-resolving it, as a
+        # server's reload does. Each promotion must publish a whole
+        # tags.json: no writer may lose its staged file and no reader
+        # may parse a torn one.
+        reg = ArtifactRegistry(tmp_path / "reg")
+        reg.publish(artifact, "m", tag="prod")
+        reg.publish(artifact, "m")
+        barrier = threading.Barrier(3)
+        writers_done = threading.Event()
+        errors: list[Exception] = []
+
+        def promote(version):
+            try:
+                barrier.wait()
+                for _ in range(200):
+                    reg.promote("m", version, "prod")
+            except Exception as exc:
+                errors.append(exc)
+
+        def resolve():
+            try:
+                barrier.wait()
+                while not writers_done.is_set():
+                    assert reg.resolve_version("m", tag="prod") in ("v0001", "v0002")
+            except Exception as exc:
+                errors.append(exc)
+
+        writers = [threading.Thread(target=promote, args=(v,)) for v in (1, 2)]
+        reader = threading.Thread(target=resolve)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in (*writers, reader):
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            writers_done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (*writers, reader))
+        assert errors == []
+        tags = json.loads((tmp_path / "reg" / "m" / "tags.json").read_text())
+        assert tags["prod"] in ("v0001", "v0002")
+        assert sorted(p.name for p in (tmp_path / "reg" / "m").iterdir()) == [
+            "tags.json", "v0001", "v0002"
+        ]
