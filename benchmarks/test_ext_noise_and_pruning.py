@@ -2,8 +2,9 @@
 
 1. Noise robustness (the paper's §IX future-work direction): fixed
    transformation plans re-evaluated under growing feature noise.
-2. Pruning-cap ablation (a DESIGN.md design-choice candidate): how the
-   post-step feature budget affects quality — unbounded growth is not free.
+2. Pruning-cap ablation (a design choice the paper fixes without
+   studying it): how the post-step feature budget affects quality —
+   unbounded growth is not free.
 """
 
 from __future__ import annotations

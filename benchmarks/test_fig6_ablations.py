@@ -29,7 +29,7 @@ def test_fig6_ablations(benchmark, sized_profile, save_report):
 
 
 def test_fig6_extra_groupwise_ablation(benchmark, sized_profile, save_report):
-    """DESIGN.md ablation candidate: group-wise crossing fan-out cap.
+    """Extra ablation beyond Fig 6: group-wise crossing fan-out cap.
 
     max_new_per_step=1 degenerates group-wise crossing to single-pair
     crossing (the pre-GRFG design); the group-wise default should explore at

@@ -1,10 +1,9 @@
-"""Setuptools shim.
+"""Setuptools packaging.
 
 The offline environment ships setuptools 65 without the ``wheel`` package, so
-PEP 660 editable installs (which need ``bdist_wheel``) are unavailable.
-Keeping an explicit ``setup.py`` and omitting ``[build-system]`` from
-``pyproject.toml`` lets ``pip install -e .`` fall back to the legacy
-``setup.py develop`` path, which works with plain setuptools.
+PEP 660 editable installs (which need ``bdist_wheel``) are unavailable. With
+only this ``setup.py`` (no ``pyproject.toml``), ``pip install -e .`` takes the
+legacy ``setup.py develop`` path, which works with plain setuptools.
 """
 
 from setuptools import find_packages, setup

@@ -14,7 +14,7 @@ so the Table I / Fig 9 / Fig 10 harnesses can sweep methods uniformly.
 - ``TTG``     transformation-graph exploration with Q-learning
 - ``DIFER``   sequence-embedding predictor + greedy search (differentiable AFE)
 - ``OpenFE``  feature boosting with two-stage candidate pruning
-- ``CAAFE``   pseudo-LLM semantic proposals (substitution documented in DESIGN.md)
+- ``CAAFE``   pseudo-LLM semantic proposals (no LLM offline; see ``caafe.py``)
 - ``GRFG``    group-wise cascading RL (FastFT ancestor, no PP/NE)
 """
 

@@ -2,9 +2,9 @@
 
 The real CAAFE prompts GPT-4 with the dataset description and feature names
 and iteratively accepts proposed features that improve cross-validated
-performance. No LLM is available offline, so — per the DESIGN.md
-substitution policy — we reproduce the *system shape* with a deterministic
-"semantic prior" proposal engine:
+performance. No LLM is available offline, and a live one would make Table I
+neither reproducible nor free to rerun, so we reproduce the *system shape*
+with a deterministic "semantic prior" proposal engine:
 
 - proposals are derived from feature-name templates (ratio/product/log rules
   such as ``Weight/Height²`` when both names are present) plus MI-guided

@@ -24,10 +24,12 @@ what the async golden digests pin.
 Failure contract
 ----------------
 A submission that crashes, or exceeds ``timeout`` seconds, is retried at
-most ``retries`` times on a fresh worker; past that it *degrades*: the
-outcome comes back ``ok=False`` with a :class:`RuntimeWarning`, and the
-session keeps the predictor-estimated score for that step. A hung or dead
-worker is terminated and respawned — drain never deadlocks on it.
+most ``retries`` times; past that it *degrades*: the outcome comes back
+``ok=False`` with a :class:`RuntimeWarning`, and the session keeps the
+predictor-estimated score for that step. A hung or dead worker is
+terminated and replaced, and its tickets move to the live workers: the one
+it was running spends an attempt, the ones still queued behind it are
+re-sent as they are. Drain never deadlocks on a dead worker, busy or idle.
 
 Cache discipline (PR 4)
 -----------------------
@@ -37,8 +39,12 @@ submission time and updated when real scores land. Workers run the raw
 evaluator and hold no cache. Cache hits can shrink ``n_downstream_calls``
 — never change scores.
 
-Workers are plain processes, one result pipe each, started the
-:mod:`repro.procs` way (``fork`` where available, else ``spawn``).
+Workers are plain processes started the :mod:`repro.procs` way (``fork``
+where available, else ``spawn``). Each has its own task queue and its own
+result pipe, and no other process reads or writes either, so a worker
+killed at any instruction can wedge nothing but its own channels, which
+are discarded with it. A ticket goes to the live worker with the fewest
+unresolved tickets (the lowest id on ties).
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import multiprocessing
 import multiprocessing.connection as mp_connection
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,10 +64,6 @@ __all__ = ["AsyncOracle", "EvalOutcome"]
 
 # How often the drain loop wakes to check worker health while waiting.
 _POLL_SECONDS = 0.05
-# Grace period before concluding that an unclaimed task vanished with a
-# killed worker (the get()→claim window is microseconds of library code,
-# so this is a last-resort liveness backstop, not a normal path).
-_STALL_SECONDS = 5.0
 
 
 @dataclass
@@ -82,20 +84,22 @@ class EvalOutcome:
 
 
 def _worker_loop(evaluator, y, tasks, results):
-    """Persistent worker: claim a ticket, evaluate, report.
+    """Persistent worker: take a ticket, evaluate, report.
 
     The claim message lets the parent enforce per-submission deadlines
     (it knows *when* each ticket actually started); evaluator exceptions
     are reported rather than raised so the process survives for the next
     task. ``None`` is the shutdown pill.
 
-    ``results`` is this worker's *own* pipe connection, not a shared
-    queue, and that is load-bearing: ``Connection.send`` writes in the
+    ``tasks`` (a queue) and ``results`` (a pipe connection) belong to this
+    worker alone, and that is load-bearing. A ``multiprocessing.Queue``
+    reader holds the queue's read lock while it waits, so a worker
+    hard-killed while idle (``os._exit``, SIGKILL, the OOM killer) leaves
+    that lock held for good: on a task queue shared with its siblings, none
+    of them could take another ticket. ``Connection.send`` writes in the
     calling thread (no feeder thread) and our messages are far below the
-    atomic-pipe-write size, so a worker hard-killed mid-task (``os._exit``,
-    OOM killer) can only ever corrupt its own channel — a shared
-    ``multiprocessing.Queue`` writer dying while holding the queue's
-    write lock would wedge every other worker's reports forever.
+    atomic-pipe-write size, so a dead worker's pipe holds whole messages,
+    then EOF.
     """
     while True:
         item = tasks.get()
@@ -110,6 +114,31 @@ def _worker_loop(evaluator, y, tasks, results):
             results.send(("done", ticket, (score, n_new)))
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             results.send(("fail", ticket, repr(exc)))
+
+
+@dataclass(eq=False)
+class _Worker:
+    """The parent's side of one worker: its process and its two channels.
+
+    ``tickets`` were sent to this worker and have not resolved, oldest
+    first. The worker runs them in that order, so ``claim`` (the ticket it
+    reported starting, and when the parent read that) is their first.
+    """
+
+    wid: int
+    process: multiprocessing.Process
+    tasks: multiprocessing.queues.Queue
+    results: mp_connection.Connection
+    tickets: list[int] = field(default_factory=list)
+    claim: tuple[int, float] | None = None
+
+    def close_channels(self) -> None:
+        self.results.close()
+        self.tasks.close()
+        # The queue's feeder thread (in this process) may be blocked for
+        # good on a full pipe a dead worker no longer reads: never wait
+        # for it at exit.
+        self.tasks.cancel_join_thread()
 
 
 class AsyncOracle:
@@ -149,12 +178,10 @@ class AsyncOracle:
         self._retries = int(retries)
         self._pending: dict[int, dict] = {}
         self._next_ticket = 0
-        self._workers: dict[int, multiprocessing.Process] = {}
-        self._conns: dict[int, mp_connection.Connection] = {}
-        self._claims: dict[int, tuple[int, float]] = {}
+        # Live workers by id; ids only grow, so iteration order is id order.
+        self._workers: dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._ctx = None
-        self._tasks = None
         # Observability (repro.obs): a parent-side tracer records queue
         # telemetry — submit/land latencies, queue depth, per-worker
         # utilization, degradations. Never pickled, never shipped to the
@@ -187,7 +214,6 @@ class AsyncOracle:
         if self._inline:
             return
         self._ctx = procs.context()
-        self._tasks = self._ctx.Queue()
         for _ in range(self.n_workers):
             self._spawn_worker()
 
@@ -209,48 +235,31 @@ class AsyncOracle:
     def _spawn_worker(self) -> None:
         wid = self._next_worker_id
         self._next_worker_id += 1
-        # One result pipe per worker: a hard-killed writer cannot wedge or
-        # corrupt anyone else's channel (see _worker_loop). The parent
-        # closes its copy of the send end so a dead worker reads as EOF.
+        # Both channels belong to this worker alone (see _worker_loop). The
+        # parent closes its copy of the send end so a dead worker reads as EOF.
+        tasks = self._ctx.Queue()
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(self._worker_eval, self._y, self._tasks, send_conn),
+            args=(self._worker_eval, self._y, tasks, send_conn),
             daemon=True,
         )
         proc.start()
         send_conn.close()
-        self._workers[wid] = proc
-        self._conns[wid] = recv_conn
+        self._workers[wid] = _Worker(wid, proc, tasks, recv_conn)
 
     def shutdown(self) -> None:
         """Stop the pool (idempotent). Pending submissions are discarded."""
         self._pending.clear()
-        if self._inline or not self._workers:
-            self._workers = {}
-            return
-        for _ in self._workers:
-            try:
-                self._tasks.put(None)
-            except Exception:  # pragma: no cover - queue already torn down
-                break
-        for proc in self._workers.values():
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-        self._workers = {}
-        for conn in self._conns.values():
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover
-                pass
-        self._conns = {}
-        try:
-            self._tasks.close()
-            self._tasks.cancel_join_thread()
-        except Exception:  # pragma: no cover
-            pass
+        workers, self._workers = self._workers, {}
+        for worker in workers.values():
+            worker.tasks.put(None)
+        for worker in workers.values():
+            worker.process.join(timeout=2.0)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=2.0)
+            worker.close_channels()
 
     def __enter__(self) -> "AsyncOracle":
         return self
@@ -295,7 +304,7 @@ class AsyncOracle:
         self._pending[ticket] = entry
         if not self._inline:
             entry["attempts"] = 1
-            self._tasks.put((ticket, entry["X"]))
+            self._send(ticket)
         if tracer is not None:
             tracer.gauge("oracle.queue_depth", len(self._pending))
         return ticket
@@ -311,26 +320,25 @@ class AsyncOracle:
             return []
         tracer = self._tracer
         t_drain = time.perf_counter() if tracer is not None else 0.0
-        pending, self._pending = self._pending, {}
-        outcomes = {t: e["resolved"] for t, e in pending.items() if e["resolved"] is not None}
         if self._inline:
-            for ticket, entry in pending.items():
-                if ticket in outcomes:
-                    continue
-                outcomes[ticket] = self._evaluate_inline(ticket, entry)
+            for ticket, entry in self._pending.items():
+                if entry["resolved"] is None:
+                    entry["resolved"] = self._evaluate_inline(ticket, entry)
         else:
-            self._drain_pool(pending, outcomes)
-        resolved = [outcomes[t] for t in pending]
+            self._drain_pool()
+        pending, self._pending = self._pending, {}
+        resolved = [entry["resolved"] for entry in pending.values()]
         if tracer is not None:
             tracer.observe("oracle.drain_seconds", time.perf_counter() - t_drain)
             tracer.gauge("oracle.queue_depth", 0)
-            for ticket, entry in pending.items():
-                self._trace_landed(entry, outcomes[ticket])
+            for entry in pending.values():
+                self._trace_landed(entry)
         return resolved
 
-    def _trace_landed(self, entry: dict, outcome: EvalOutcome) -> None:
+    def _trace_landed(self, entry: dict) -> None:
         """Per-submission telemetry, recorded once the outcome is final."""
         tracer = self._tracer
+        outcome = entry["resolved"]
         t_submit = entry.get("t_submit")
         if t_submit is not None:
             tracer.observe("oracle.submit_to_land_seconds", time.perf_counter() - t_submit)
@@ -350,140 +358,116 @@ class AsyncOracle:
             self._cache.put(entry["key"], score)
         return EvalOutcome(ticket, score, True, n_calls=n_new, attempts=1)
 
-    def _drain_pool(self, pending: dict, outcomes: dict) -> None:
-        unresolved = {t for t in pending if t not in outcomes}
-        last_progress = time.monotonic()
-        last_health = last_progress
-        while unresolved:
-            now = time.monotonic()
-            if now - last_health >= _POLL_SECONDS:
+    def _send(self, ticket: int) -> None:
+        """Queue ``ticket`` on the live worker with the fewest unresolved
+        tickets (``min`` keeps the first of equals: the lowest id). With
+        none alive it waits on a dead one, whose tickets drain re-sends."""
+        workers = list(self._workers.values())
+        live = [w for w in workers if w.process.is_alive()] or workers
+        worker = min(live, key=lambda w: len(w.tickets))
+        worker.tickets.append(ticket)
+        worker.tasks.put((ticket, self._pending[ticket]["X"]))
+
+    def _drain_pool(self) -> None:
+        # Every unresolved ticket is on exactly one worker's list.
+        last_health = time.monotonic()
+        while any(worker.tickets for worker in self._workers.values()):
+            if time.monotonic() - last_health >= _POLL_SECONDS:
                 # Run even when messages are flowing, so a hung worker's
                 # deadline is enforced while its siblings stay busy.
-                last_health = now
-                last_progress = self._check_health(pending, outcomes, unresolved, last_progress)
-                if not unresolved:
-                    return
-            ready = mp_connection.wait(list(self._conns.values()), timeout=_POLL_SECONDS)
-            for conn in ready:
-                wid = next((w for w, c in self._conns.items() if c is conn), None)
-                if wid is None:
-                    continue
+                self._check_health()
+                last_health = time.monotonic()
+                continue
+            by_conn = {worker.results: worker for worker in self._workers.values()}
+            for conn in mp_connection.wait(list(by_conn), timeout=_POLL_SECONDS):
                 try:
-                    kind, ticket, payload = conn.recv()
+                    message = conn.recv()
                 except (EOFError, OSError):
                     # EOF only surfaces once the pipe buffer is drained, so
                     # nothing this worker managed to report is lost.
-                    self._reap_worker(wid, pending, outcomes, unresolved, "worker died")
+                    self._reap_worker(by_conn[conn], "worker died")
                 else:
-                    self._handle_message(wid, kind, ticket, payload, pending, outcomes, unresolved)
-                last_progress = time.monotonic()
+                    self._handle_message(by_conn[conn], *message)
 
-    def _handle_message(self, wid, kind, ticket, payload, pending, outcomes, unresolved) -> None:
+    def _handle_message(self, worker: _Worker, kind: str, ticket: int, payload) -> None:
         if kind == "start":
-            self._claims[wid] = (ticket, time.monotonic())
-        elif kind == "done":
-            self._trace_worker_done(wid, self._claims.pop(wid, None))
-            if ticket in unresolved:
-                score, n_new = payload
-                outcomes[ticket] = EvalOutcome(
-                    ticket, score, True, n_calls=n_new, attempts=pending[ticket]["attempts"]
-                )
-                if pending[ticket]["key"] is not None:
-                    self._cache.put(pending[ticket]["key"], score)
-                unresolved.discard(ticket)
-        elif kind == "fail":
-            self._trace_worker_done(wid, self._claims.pop(wid, None))
-            if ticket in unresolved:
-                self._retry_or_degrade(pending, outcomes, unresolved, ticket, payload)
+            worker.claim = (ticket, time.monotonic())
+            return
+        self._trace_worker_done(worker)
+        worker.claim = None
+        worker.tickets.remove(ticket)
+        if kind == "fail":
+            self._retry_or_degrade(ticket, payload)
+            return
+        entry = self._pending[ticket]
+        score, n_new = payload
+        entry["resolved"] = EvalOutcome(
+            ticket, score, True, n_calls=n_new, attempts=entry["attempts"]
+        )
+        if entry["key"] is not None:
+            self._cache.put(entry["key"], score)
 
-    def _trace_worker_done(self, wid: int, claim) -> None:
+    def _trace_worker_done(self, worker: _Worker) -> None:
         """Per-worker utilization: busy seconds and completed tasks."""
         tracer = self._tracer
-        if tracer is None or claim is None:
+        if tracer is None or worker.claim is None:
             return
-        labels = {"worker": wid}
-        tracer.count("oracle.worker_busy_seconds", time.monotonic() - claim[1], labels=labels)
+        labels = {"worker": worker.wid}
+        tracer.count("oracle.worker_busy_seconds", time.monotonic() - worker.claim[1], labels=labels)
         tracer.count("oracle.worker_tasks", labels=labels)
 
-    def _reap_worker(self, wid, pending, outcomes, unresolved, reason) -> None:
-        """Retire one worker: stop it, salvage its reports, replace it.
+    def _reap_worker(self, worker: _Worker, reason: str) -> None:
+        """Retire one worker with its channels, replace it, move its tickets.
 
-        Buffered pipe messages are processed before the channel closes (a
-        worker that reported ``done`` and then died must not trigger a
-        redundant retry); whatever claim remains after that is the ticket
-        that actually went down with the worker, and gets retried.
+        Buffered pipe messages are processed first (a worker that reported
+        ``done`` and then died must not trigger a redundant retry). Of the
+        tickets left, the claimed one went down with the worker and spends
+        an attempt; the ones queued behind it never started and are re-sent
+        as they are. The worker's queue is discarded, so none of them can
+        be lost in it or run twice.
         """
-        proc = self._workers.pop(wid, None)
-        conn = self._conns.pop(wid, None)
-        if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-        if conn is not None:
-            try:
-                while conn.poll(0):
-                    kind, ticket, payload = conn.recv()
-                    self._handle_message(wid, kind, ticket, payload, pending, outcomes, unresolved)
-            except (EOFError, OSError):
-                pass
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover
-                pass
-        claim = self._claims.pop(wid, None)
+        del self._workers[worker.wid]
+        if worker.process.is_alive():
+            worker.process.terminate()
+        worker.process.join(timeout=5.0)
+        # Replace it first: a one-worker pool must have somewhere to re-send.
         self._spawn_worker()
+        try:
+            while worker.results.poll(0):
+                self._handle_message(worker, *worker.results.recv())
+        except (EOFError, OSError):
+            pass
+        worker.close_channels()
         if self._tracer is not None:
             self._tracer.count("oracle.workers_reaped", labels={"reason": reason})
-        if claim is not None and claim[0] in unresolved:
-            self._retry_or_degrade(pending, outcomes, unresolved, claim[0], reason)
+        claimed = worker.claim[0] if worker.claim is not None else None
+        for ticket in worker.tickets:
+            if ticket == claimed:
+                self._retry_or_degrade(ticket, reason)
+            else:
+                self._send(ticket)
 
-    def _check_health(self, pending, outcomes, unresolved, last_progress: float) -> float:
+    def _check_health(self) -> None:
         now = time.monotonic()
-        for wid, proc in list(self._workers.items()):
-            claim = self._claims.get(wid)
+        for worker in list(self._workers.values()):
             timed_out = (
-                claim is not None
+                worker.claim is not None
                 and self._timeout is not None
-                and now - claim[1] > self._timeout
+                and now - worker.claim[1] > self._timeout
             )
-            died = not proc.is_alive()
-            if not (timed_out or died):
-                continue
-            reason = "timeout" if timed_out else "worker died"
-            self._reap_worker(wid, pending, outcomes, unresolved, reason)
-            last_progress = now
-        # Liveness backstop: with per-worker pipes and synchronous claim
-        # sends this should be unreachable (a dying worker's claim survives
-        # in its pipe buffer), but if tickets somehow have no claim, no
-        # queue entry, and no movement, re-queue them (bounded) rather
-        # than wait forever — drain must never deadlock.
-        if unresolved and not self._claims and now - last_progress > self._stall_limit():
-            try:
-                queue_empty = self._tasks.qsize() == 0
-            except NotImplementedError:  # pragma: no cover - macOS qsize
-                queue_empty = True
-            if queue_empty:
-                for ticket in sorted(unresolved):
-                    self._retry_or_degrade(pending, outcomes, unresolved, ticket, "task lost")
-                last_progress = now
-        return last_progress
+            if timed_out or not worker.process.is_alive():
+                self._reap_worker(worker, "timeout" if timed_out else "worker died")
 
-    def _stall_limit(self) -> float:
-        if self._timeout is not None:
-            return max(self._timeout, _STALL_SECONDS)
-        return _STALL_SECONDS
-
-    def _retry_or_degrade(self, pending, outcomes, unresolved, ticket: int, reason) -> None:
-        entry = pending[ticket]
+    def _retry_or_degrade(self, ticket: int, reason) -> None:
+        entry = self._pending[ticket]
         if entry["attempts"] <= self._retries:
             entry["attempts"] += 1
-            self._tasks.put((ticket, entry["X"]))
+            self._send(ticket)
             return
         self._warn_degraded(ticket, entry["attempts"], reason)
-        outcomes[ticket] = EvalOutcome(
+        entry["resolved"] = EvalOutcome(
             ticket, None, False, attempts=entry["attempts"], error=str(reason)
         )
-        unresolved.discard(ticket)
 
     @staticmethod
     def _warn_degraded(ticket: int, attempts: int, reason) -> None:

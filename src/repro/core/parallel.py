@@ -37,14 +37,18 @@ Observability crosses the process boundary over a queue: pass
 (:meth:`on_step`, :meth:`on_episode_end`, ...) to parent-side callbacks —
 a :class:`~repro.core.callbacks.HistoryCollector` or
 :class:`~repro.core.callbacks.VerboseLogger` works unchanged, receiving a
-lightweight :class:`SessionView` in place of the live session.
+lightweight :class:`SessionView` in place of the live session. The relay
+runs on the caller's thread, which drains the queue while it waits for the
+jobs, so each job's callbacks see the hooks a serial run would fire, in
+the same order and on the same thread. A callback that raises does not
+stop later events; its error is raised once every job's ``on_finish`` has
+run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import queue as queue_mod
-import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
@@ -144,7 +148,8 @@ class SessionView:
 
 
 class _EventRelay(Callback):
-    """Worker-side callback: serializes lifecycle events onto a queue.
+    """Worker-side callback: puts each lifecycle event on the relay queue
+    as ``(label, hook, view, args)``.
 
     ``on_finish`` is deliberately not relayed — the parent already receives
     the full result through the pool and fires ``on_finish`` itself once
@@ -155,8 +160,8 @@ class _EventRelay(Callback):
         self._events = events
         self._label = label
 
-    def _view(self, session: SearchSession) -> SessionView:
-        return SessionView(
+    def _emit(self, hook: str, session: SearchSession, *args) -> None:
+        view = SessionView(
             label=self._label,
             task=session.task,
             episode=session.episode,
@@ -167,91 +172,55 @@ class _EventRelay(Callback):
             base_score=session.base_score,
             best_score=session.best_score,
         )
-
-    def _emit(self, event: str, session: SearchSession, arg=None) -> None:
-        self._events.put((self._label, event, self._view(session), arg))
+        self._events.put((self._label, hook, view, args))
 
     def on_search_start(self, session) -> None:
-        self._emit("search_start", session)
+        self._emit("on_search_start", session)
 
     def on_episode_start(self, session, episode) -> None:
-        self._emit("episode_start", session, episode)
+        self._emit("on_episode_start", session, episode)
 
     def on_step(self, session, record) -> None:
-        self._emit("step", session, record)
+        self._emit("on_step", session, record)
 
     def on_real_evaluation(self, session, record) -> None:
-        self._emit("real_evaluation", session, record)
+        self._emit("on_real_evaluation", session, record)
 
     def on_reconcile(self, session, landed, degraded) -> None:
-        self._emit("reconcile", session, (landed, degraded))
+        self._emit("on_reconcile", session, landed, degraded)
 
     def on_retrain(self, session, episode, stage) -> None:
-        self._emit("retrain", session, (episode, stage))
+        self._emit("on_retrain", session, episode, stage)
 
     def on_episode_end(self, session, episode) -> None:
-        self._emit("episode_end", session, episode)
+        self._emit("on_episode_end", session, episode)
 
 
-class _EventPump(threading.Thread):
-    """Parent-side drain loop: replays queued worker events onto callbacks."""
+def _relay(events, sinks: dict[str, CallbackList], futures: list) -> tuple[dict, list]:
+    """Dispatch relayed events on the calling thread until every job is done
+    and the queue is empty.
 
-    def __init__(self, events, sinks: dict[str, CallbackList]) -> None:
-        super().__init__(name="fastft-event-pump", daemon=True)
-        self._events = events
-        self._sinks = sinks
-        # NB: not `_stop` — threading.Thread owns a private method by that name.
-        self._stop_flag = threading.Event()
-        self.errors: list[Exception] = []
-        self.last_view: dict[str, SessionView] = {}
-
-    def _dispatch(self, label: str, event: str, view: SessionView, arg) -> None:
-        self.last_view[label] = view
-        sink = self._sinks.get(label)
-        if sink is None:
-            return
-        if event == "search_start":
-            sink.on_search_start(view)
-        elif event == "episode_start":
-            sink.on_episode_start(view, arg)
-        elif event == "step":
-            sink.on_step(view, arg)
-        elif event == "real_evaluation":
-            sink.on_real_evaluation(view, arg)
-        elif event == "reconcile":
-            sink.on_reconcile(view, arg[0], arg[1])
-        elif event == "retrain":
-            sink.on_retrain(view, arg[0], arg[1])
-        elif event == "episode_end":
-            sink.on_episode_end(view, arg)
-
-    def run(self) -> None:
-        while True:
-            try:
-                item = self._events.get(timeout=0.05)
-            except queue_mod.Empty:
-                if self._stop_flag.is_set():
-                    return
-                continue
-            except (EOFError, OSError) as exc:  # manager went away mid-drain
-                self.errors.append(exc)
-                return
-            try:
-                self._dispatch(*item)
-            except Exception as exc:  # surface after join, keep draining
-                self.errors.append(exc)
-
-    def finish(self) -> None:
-        """Drain everything already queued, then stop.
-
-        The join is unbounded on purpose: every worker has already
-        returned by the time this runs, so the queue is finite, and
-        ``on_finish`` (fired by the caller next) must not race live
-        ``on_step`` dispatches. A slow user callback delays completion
-        here exactly as it would in a serial run.
-        """
-        self._stop_flag.set()
-        self.join()
+    A worker's ``put`` returns once the Manager holds the event, so when
+    every future was done *before* a ``get`` came back empty, no event is
+    left in flight. Returns each job's last :class:`SessionView` and the
+    exceptions the callbacks raised; a raising callback does not stop the
+    events after it.
+    """
+    views: dict[str, SessionView] = {}
+    errors: list[Exception] = []
+    while True:
+        finished = all(future.done() for future in futures)
+        try:
+            label, hook, view, args = events.get(timeout=0.05)
+        except queue_mod.Empty:
+            if finished:
+                return views, errors
+            continue
+        views[label] = view
+        try:
+            getattr(sinks[label], hook)(view, *args)
+        except Exception as exc:
+            errors.append(exc)
 
 
 # -- the worker ------------------------------------------------------------------
@@ -528,35 +497,22 @@ class SearchOrchestrator:
             if self.callbacks_factory is not None:
                 events = stack.enter_context(procs.context().Manager()).Queue()
                 sinks = {label: CallbackList(self.callbacks_factory(label)) for label in data}
-
-            pump = None
-            try:
-                inputs = (data, seed_entries, self.time_budget, events)
-                with procs.pool(n_workers, inputs) as pool:
-                    # map() submits every job eagerly, so the workers fork
-                    # here — before the drain thread starts (a
-                    # multi-threaded fork is where deadlocks live).
-                    it = pool.map(_pooled_job, jobs)
-                    if events is not None:
-                        pump = _EventPump(events, sinks)
-                        pump.start()
-                    ordered = list(it)
-            finally:
-                if pump is not None:
-                    pump.finish()
+            inputs = (data, seed_entries, self.time_budget, events)
+            pool = stack.enter_context(procs.pool(n_workers, inputs))
+            futures = [pool.submit(_pooled_job, job) for job in jobs]
+            views, errors = _relay(events, sinks, futures) if events is not None else ({}, [])
+            ordered = [future.result() for future in futures]
 
         results = {}
         for (label, *_), (result, added) in zip(specs, ordered):
             results[label] = result
             if self.cache is not None:
                 self.cache.merge_entries(added)
-        if pump is not None:
-            # on_finish fires once per job, in submission order, after
-            # every relayed event has been dispatched.
-            for label, sink in sinks.items():
-                view = pump.last_view.get(label)
-                if view is not None:
-                    sink.on_finish(view, results[label])
-            if pump.errors:
-                raise pump.errors[0]
+        # on_finish fires once per job, in submission order, after every
+        # relayed event has been dispatched.
+        for label, sink in sinks.items():
+            if label in views:
+                sink.on_finish(views[label], results[label])
+        if errors:
+            raise errors[0]
         return results

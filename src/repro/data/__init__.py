@@ -5,8 +5,11 @@ OpenML, AutoML) that are unavailable offline. Each named dataset here is a
 deterministic generator matching the paper's task type and (scaled) shape,
 whose target depends on *hidden interactions* of the observed features —
 products, ratios, logs — which is precisely the structure feature
-transformation methods compete to recover. See DESIGN.md §2 for the
-substitution argument.
+transformation methods compete to recover. The substitution keeps what the
+paper's comparisons depend on (task type, shape, and a target that rewards
+the right crossed features) and makes every table regenerable offline and
+bit for bit from a seed; absolute scores are not comparable with the
+paper's.
 """
 
 from repro.data.registry import DATASET_SPECS, Dataset, dataset_names, load_dataset

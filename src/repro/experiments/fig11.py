@@ -7,8 +7,9 @@ seconds saved relative to FastFT−PP.
 
 The paper measures GPU allocation; our substrate is CPU-only, so we report
 the analytically counted parameter + activation bytes of the same
-architecture (see DESIGN.md §2 — the quantity studied is an architectural
-property, not a device property).
+architecture. The figure studies how the predictor's memory grows with
+sequence length, which the architecture fixes: a device's allocator only
+adds its own rounding and caching on top.
 """
 
 from __future__ import annotations

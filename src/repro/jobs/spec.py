@@ -36,11 +36,11 @@ Invariants:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
 import socket
-import tempfile
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -49,7 +49,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import FastFTConfig
-from repro.core.fsio import atomic_write_bytes, atomic_write_text, fsync_dir
+from repro.core.fsio import atomic_write_bytes, atomic_write_text
 
 __all__ = [
     "SweepSpec",
@@ -163,21 +163,9 @@ def init_sweep(sweep_dir: str, X: np.ndarray, y: np.ndarray, spec: SweepSpec) ->
     for seed in spec.seeds:
         os.makedirs(JobDir(sweep_dir, seed).path, exist_ok=True)
 
-    data_path = os.path.join(sweep_dir, DATA_FILE)
-    fd, tmp = tempfile.mkstemp(prefix=DATA_FILE + ".", suffix=".tmp", dir=sweep_dir)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, X=np.asarray(X), y=np.asarray(y))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, data_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    fsync_dir(sweep_dir)
+    data = io.BytesIO()
+    np.savez(data, X=np.asarray(X), y=np.asarray(y))
+    atomic_write_bytes(os.path.join(sweep_dir, DATA_FILE), data.getvalue())
     atomic_write_text(
         os.path.join(sweep_dir, SPEC_FILE),
         json.dumps(spec.to_jsonable(), indent=2) + "\n",

@@ -10,19 +10,27 @@ The registry is the hand-off point between search (which produces
         v0002/ ...
         tags.json       # {"prod": "v0001", ...}
 
-Versions are immutable and monotonically numbered; publishing writes to a
-temporary directory and renames it into place, so a crashed publish never
-leaves a half-written version visible. Tags are mutable pointers
-(``promote``) — the usual "serve whatever *prod* points at" workflow.
-``tags.json`` is published with :func:`~repro.core.fsio.atomic_write_text`,
-so a reader sees the previous or the new mapping, never a torn file.
+Versions are immutable and monotonically numbered; each publish writes to
+its own temporary directory and renames it into place, so a crashed publish
+never leaves a half-written version visible, and the rename claims the
+number: a concurrent publisher that finds its number taken takes the next.
+Tags are mutable pointers (``promote``) — the usual "serve whatever *prod*
+points at" workflow. ``tags.json`` is published with
+:func:`~repro.core.fsio.atomic_write_text`, so a reader sees the previous
+or the new mapping, never a torn file, and each promotion's
+read-modify-write holds an ``flock`` on the name's directory, so
+concurrent promotions never lose each other's tags. The kernel drops that
+lock when its holder exits, crashed or not.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 from repro.core.fsio import atomic_write_text
@@ -164,15 +172,23 @@ class ArtifactRegistry:
             raise ValueError(f"Invalid tag {tag!r}")
         entry = self._entry_dir(name)
         entry.mkdir(parents=True, exist_ok=True)
-        existing = self.versions(name)
-        number = int(_VERSION_RE.match(existing[-1]).group(1)) + 1 if existing else 1
-        version = _version_string(number)
-        tmp = entry / f".tmp-{version}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
+        tmp = Path(tempfile.mkdtemp(dir=entry, prefix=".tmp-"))
         try:
+            # mkdtemp makes it owner-only; published versions get the
+            # mode their name's directory was created with.
+            tmp.chmod(entry.stat().st_mode & 0o777)
             artifact.save(tmp)
-            tmp.rename(entry / version)
+            existing = self.versions(name)
+            number = int(_VERSION_RE.match(existing[-1]).group(1)) + 1 if existing else 1
+            while True:
+                version = _version_string(number)
+                try:
+                    tmp.rename(entry / version)
+                    break
+                except OSError as exc:  # a concurrent publish took the number
+                    if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                        raise
+                    number += 1
         except Exception:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
@@ -206,6 +222,16 @@ class ArtifactRegistry:
                 f"Cannot tag unpublished version {resolved} of {name!r}; "
                 f"have {self.versions(name)}"
             )
-        tags = self._read_tags(name)
-        tags[tag] = resolved
-        atomic_write_text(self._tags_path(name), json.dumps(tags, indent=2, sort_keys=True) + "\n")
+        import fcntl  # POSIX; imported here so the registry loads without it
+
+        # Each open of the directory locks on its own, so threads exclude
+        # each other too; closing the descriptor, or exiting, unlocks it.
+        fd = os.open(self._entry_dir(name), os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            tags = self._read_tags(name)
+            tags[tag] = resolved
+            text = json.dumps(tags, indent=2, sort_keys=True) + "\n"
+            atomic_write_text(self._tags_path(name), text)
+        finally:
+            os.close(fd)

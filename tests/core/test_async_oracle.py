@@ -9,8 +9,11 @@ predictor-estimated score with a warning, never a deadlock.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -103,7 +106,100 @@ class _DieOnce:
         return 1.25
 
 
+class _StallFirstInWorker:
+    """Mean oracle whose first call in a worker writes a flag file and
+    then sleeps, so a test can kill the worker while it runs a ticket.
+    Later calls (in the respawned worker) score at once."""
+
+    def __init__(self, flag_path) -> None:
+        self._flag = flag_path
+
+    def __call__(self, X, y):
+        if os.getpid() != _MAIN_PID and not os.path.exists(self._flag):
+            with open(self._flag, "w") as fh:
+                fh.write("x")
+            time.sleep(60.0)
+        return float(np.mean(X) + np.mean(y))
+
+
 _MAIN_PID = os.getpid()
+
+
+def _start_oracle(evaluator, y, **kwargs):
+    """An AsyncOracle and the worker processes it started."""
+    before = set(multiprocessing.active_children())
+    oracle = AsyncOracle(evaluator, y, **kwargs)
+    workers = [p for p in multiprocessing.active_children() if p not in before]
+    return oracle, workers
+
+
+def _kill(process) -> None:
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(timeout=10.0)
+
+
+def _in_own_session(scenario, *args, seconds: float = 30.0):
+    """``scenario(*args)``, run in a forked child that leads its own
+    process group; returns what the scenario returns.
+
+    A scenario still running after ``seconds`` fails the test, and the
+    whole group (the child and every oracle worker it started) is
+    SIGKILLed, so a blocked drain neither hangs the suite nor leaves a
+    worker behind.
+    """
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def leader():
+        os.setsid()
+        try:
+            send.send(("ok", scenario(*args)))
+        except Exception:
+            send.send(("error", traceback.format_exc()))
+
+    child = ctx.Process(target=leader)
+    child.start()
+    send.close()
+    finished = recv.poll(seconds)
+    if not finished:
+        os.killpg(child.pid, signal.SIGKILL)
+    child.join(timeout=30.0)
+    assert not child.is_alive()
+    assert finished, f"{scenario.__name__} still blocked after {seconds} s"
+    status, value = recv.recv()
+    assert status == "ok", value
+    return value
+
+
+def _kill_idle_workers_then_drain(n_workers: int, n_killed: int):
+    X, y = _problem()
+    matrices = [X + i for i in range(4)]
+    oracle, workers = _start_oracle(_MeanEvaluator(), y, n_workers=n_workers)
+    with oracle:
+        for m in matrices[:2]:
+            oracle.submit(m)
+        first = oracle.drain()
+        time.sleep(0.5)  # every worker is back inside its task queue's get()
+        for process in workers[:n_killed]:
+            _kill(process)
+        for m in matrices[2:]:
+            oracle.submit(m)
+        start = time.monotonic()
+        second = oracle.drain()
+        return len(workers), first + second, time.monotonic() - start
+
+
+def _kill_running_worker_then_drain(flag: str):
+    X, y = _problem()
+    matrices = [X * (i + 1) for i in range(3)]
+    oracle, (worker,) = _start_oracle(_StallFirstInWorker(flag), y, n_workers=1)
+    with oracle:
+        for m in matrices:
+            oracle.submit(m)
+        while not os.path.exists(flag):
+            time.sleep(0.01)
+        _kill(worker)  # mid-ticket 0, with tickets 1 and 2 queued behind it
+        return oracle.drain()
 
 
 class TestSubmitDrain:
@@ -221,6 +317,33 @@ class TestFailureDegradation:
         assert outcome.ok
         assert outcome.score == 1.25
         assert outcome.attempts == 2
+
+
+class TestDeadWorkers:
+    @pytest.mark.parametrize("n_workers, n_killed", [(1, 1), (2, 2), (2, 1)])
+    def test_killing_idle_workers_does_not_block_drain(self, n_workers, n_killed):
+        """An idle worker waits inside its task queue's ``get``; a SIGKILL
+        there must not wedge the next drain (a task queue shared by all
+        workers stays locked by the dead reader)."""
+        X, y = _problem()
+        expected = [float(np.mean(X + i) + np.mean(y)) for i in range(4)]
+        started, outcomes, drain_seconds = _in_own_session(
+            _kill_idle_workers_then_drain, n_workers, n_killed
+        )
+        assert started == n_workers
+        assert [o.ticket for o in outcomes] == [0, 1, 2, 3]
+        assert [o.score for o in outcomes] == expected
+        assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert drain_seconds < 5.0
+
+    def test_killed_worker_retries_its_ticket_and_resends_the_queued(self, tmp_path):
+        X, y = _problem()
+        expected = [float(np.mean(X * (i + 1)) + np.mean(y)) for i in range(3)]
+        outcomes = _in_own_session(_kill_running_worker_then_drain, str(tmp_path / "flag"))
+        assert [o.score for o in outcomes] == expected
+        # The running ticket spends an attempt; the queued ones never started.
+        assert [o.attempts for o in outcomes] == [2, 1, 1]
+        assert all(o.ok for o in outcomes)
 
 
 class TestSessionIntegration:

@@ -15,6 +15,33 @@ from repro.serve.artifact import _content_hash
 from tests.reference.plan import apply as reference_apply
 
 
+def _race(*targets) -> list[Exception]:
+    """Run each target on its own thread, started together, with a tiny
+    switch interval so their steps interleave; returns what they raised."""
+    barrier = threading.Barrier(len(targets))
+    errors: list[Exception] = []
+
+    def run(target):
+        try:
+            barrier.wait()
+            target()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
 class TestArtifact:
     def test_manifest_provenance(self, artifact, search_result):
         m = artifact.manifest
@@ -270,3 +297,32 @@ class TestRegistry:
         assert sorted(p.name for p in (tmp_path / "reg" / "m").iterdir()) == [
             "tags.json", "v0001", "v0002"
         ]
+
+    def test_concurrent_publishes_claim_distinct_versions(self, artifact, tmp_path):
+        reg = ArtifactRegistry(tmp_path / "reg")
+        published: list[str] = []
+
+        def publish():
+            for _ in range(25):
+                published.append(reg.publish(artifact, "m"))
+
+        assert _race(publish, publish) == []
+        expected = [f"v{n:04d}" for n in range(1, 51)]
+        assert sorted(published) == reg.versions("m") == expected
+        for version in published:
+            loaded = reg.get("m", version=version)
+            assert loaded.manifest["content_hash"] == artifact.manifest["content_hash"]
+        assert not any((tmp_path / "reg" / "m").glob(".tmp-*"))
+
+    def test_concurrent_promotions_keep_every_tag(self, artifact, tmp_path):
+        reg = ArtifactRegistry(tmp_path / "reg")
+        reg.publish(artifact, "m")
+
+        def promote(prefix):
+            for i in range(200):
+                reg.promote("m", 1, f"{prefix}{i}")
+
+        assert _race(lambda: promote("a"), lambda: promote("b")) == []
+        tags = reg.tags("m")
+        assert len(tags) == 400
+        assert set(tags.values()) == {"v0001"}

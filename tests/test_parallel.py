@@ -10,12 +10,14 @@ configs tiny.
 from __future__ import annotations
 
 import io
+import threading
 
 import numpy as np
 import pytest
 
 from repro import api, procs
 from repro.core import HistoryCollector, VerboseLogger
+from repro.core.callbacks import Callback
 from repro.core.parallel import SearchOrchestrator, SweepResult
 from repro.core.result import FastFTResult
 from repro.ml.cache import EvaluationCache
@@ -50,6 +52,59 @@ def _identity_fields(result: FastFTResult) -> tuple:
         repr(result.best_score),
         [r.deterministic_dict() for r in result.history],
     )
+
+
+HOOKS = (
+    "on_search_start",
+    "on_episode_start",
+    "on_step",
+    "on_real_evaluation",
+    "on_reconcile",
+    "on_retrain",
+    "on_episode_end",
+    "on_finish",
+)
+
+
+def _plain(arg):
+    if isinstance(arg, FastFTResult):
+        return repr(arg.best_score)
+    return arg.deterministic_dict() if hasattr(arg, "deterministic_dict") else arg
+
+
+class _Recorder(Callback):
+    """Every hook one job's observers receive: its arguments, the session
+    fields a view carries, and the thread it ran on."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+        self.threads: set[str] = set()
+
+
+def _recording(hook: str):
+    def method(self, session, *args):
+        self.threads.add(threading.current_thread().name)
+        fields = (
+            session.episode, session.global_step, session.total_steps, session.n_features,
+            session.n_downstream_calls, repr(session.base_score), repr(session.best_score),
+        )
+        self.calls.append((hook, fields, [_plain(arg) for arg in args]))
+
+    return method
+
+
+for _hook in HOOKS:
+    setattr(_Recorder, _hook, _recording(_hook))
+
+
+class _RaiseOnFirstStep(Callback):
+    def __init__(self) -> None:
+        self.steps = 0
+
+    def on_step(self, session, record) -> None:
+        self.steps += 1
+        if self.steps == 1:
+            raise RuntimeError("observer failed")
 
 
 class TestSweep:
@@ -154,6 +209,50 @@ class TestSweep:
             out = streams[f"seed={seed}"].getvalue()
             assert "[FastFT] finished" in out  # on_finish fired exactly once
             assert out.count("[FastFT] finished") == 1
+
+    def test_pooled_observers_see_the_serial_stream_on_the_calling_thread(self, problem):
+        X, y = problem
+        # The inline async arm defers evaluations, so on_reconcile fires too.
+        cfg = dict(TINY, episodes=3, oracle_mode="async", oracle_workers=0, reconcile_every_k=2)
+        streams: dict[int, dict[str, _Recorder]] = {1: {}, 2: {}}
+        for n_jobs, recorders in streams.items():
+
+            def factory(label, recorders=recorders):
+                recorders[label] = _Recorder()
+                return [recorders[label]]
+
+            api.sweep(
+                X, y, "classification", seeds=[0, 1], n_jobs=n_jobs,
+                callbacks_factory=factory, **cfg,
+            )
+        serial, pooled = streams[1], streams[2]
+        assert set(pooled) == set(serial) == {"seed=0", "seed=1"}
+        for label, recorder in serial.items():
+            assert {hook for hook, *_ in recorder.calls} == set(HOOKS)
+            assert pooled[label].calls == recorder.calls
+            assert pooled[label].threads == {threading.current_thread().name}
+
+    def test_raising_observer_stops_no_later_event(self, problem):
+        X, y = problem
+        recorders: dict[str, _Recorder] = {}
+        raisers: dict[str, _RaiseOnFirstStep] = {}
+
+        def factory(label):
+            recorders[label], raisers[label] = _Recorder(), _RaiseOnFirstStep()
+            return [recorders[label], raisers[label]]
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            api.sweep(
+                X, y, "classification", seeds=[0, 1], n_jobs=2,
+                callbacks_factory=factory, **TINY,
+            )
+        n_steps = TINY["episodes"] * TINY["steps_per_episode"]
+        for label, recorder in recorders.items():
+            hooks = [hook for hook, *_ in recorder.calls]
+            assert hooks.count("on_step") == n_steps
+            assert raisers[label].steps == n_steps
+            # on_finish ran, once and last, before the error was raised.
+            assert hooks.index("on_finish") == len(hooks) - 1
 
 
 class TestRunBatchParallel:
