@@ -43,14 +43,17 @@ Workers are plain processes started the :mod:`repro.procs` way (``fork``
 where available, else ``spawn``). Each has its own task queue and its own
 result pipe, and no other process reads or writes either, so a worker
 killed at any instruction can wedge nothing but its own channels, which
-are discarded with it. A ticket goes to the live worker with the fewest
-unresolved tickets (the lowest id on ties).
+are discarded with it. Discarding a queue reads its pipe until the
+queue's feeder thread has written out the tickets it still held, so a
+dead worker leaves no thread blocked on a full pipe. A ticket goes to the
+live worker with the fewest unresolved tickets (the lowest id on ties).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection as mp_connection
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -64,6 +67,8 @@ __all__ = ["AsyncOracle", "EvalOutcome"]
 
 # How often the drain loop wakes to check worker health while waiting.
 _POLL_SECONDS = 0.05
+# How long retiring a worker may read its task pipe for the feeder thread.
+_FEEDER_DRAIN_SECONDS = 5.0
 
 
 @dataclass
@@ -134,11 +139,40 @@ class _Worker:
 
     def close_channels(self) -> None:
         self.results.close()
+        feeder = self.tasks._thread
+        if feeder is None:  # nothing was ever sent
+            self.tasks.close()
+            return
+        # Closing queues a stop marker behind the unsent tickets; the
+        # queue's feeder thread (in this process) writes those into the
+        # pipe first and then closes the read end. With the worker gone, a
+        # full pipe would block it for good, holding the matrices, so this
+        # process reads the pipe itself, through a duplicate of the read
+        # end taken before the thread can close it, until the thread ends.
+        fd = os.dup(self.tasks._reader.fileno())
         self.tasks.close()
-        # The queue's feeder thread (in this process) may be blocked for
-        # good on a full pipe a dead worker no longer reads: never wait
-        # for it at exit.
+        _drain_until_ended(fd, feeder)
+        # Never wait for it at exit, should the drain have timed out.
         self.tasks.cancel_join_thread()
+
+
+def _drain_until_ended(fd: int, feeder) -> None:
+    """Read and drop a queue pipe's bytes from ``fd`` until its feeder
+    thread ends, then close ``fd``.
+
+    Forked siblings hold copies of the write end, so the pipe never
+    reports EOF: every read waits for data first, and the drain gives up
+    after ``_FEEDER_DRAIN_SECONDS``. Raw reads keep working when the dead
+    worker left half a message behind, and they need no read lock (a
+    worker killed inside ``get`` keeps the queue's for good).
+    """
+    try:
+        deadline = time.monotonic() + _FEEDER_DRAIN_SECONDS
+        while feeder.is_alive() and time.monotonic() < deadline:
+            if mp_connection.wait([fd], _POLL_SECONDS):
+                os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
 
 
 class AsyncOracle:

@@ -5,6 +5,14 @@ classification and detection tasks; the regressor serves regression tasks.
 ``feature_importances_`` (mean impurity decrease) powers Table IV and the
 importance-based pruning inside the FastFT engine.
 
+A forest draws its trees' seeds and bootstraps from its own seed and then
+grows all its trees together (:func:`repro.ml.tree.fit_trees`), each
+reading its bootstrap rows of ``X`` through their indices. :func:`fit_forests`
+does the same for several clones at once, each on its own rows: the
+serial cross-validation path passes one clone per fold, so an oracle call
+grows every fold's trees in one lockstep from one presort of ``X``. Every
+forest comes out as a fit of its own rows alone would make it.
+
 Prediction walks all trees at once. On first predict after a fit, the
 forest stacks its trees into one node table
 (:class:`repro.ml.tree._NodeTable`) and caches it with every leaf's output
@@ -32,9 +40,15 @@ from repro.ml.base import (
     check_X_y,
 )
 from repro.ml.split_engine import SplitEngine, resolve_engine
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _CachesNodes, _NodeTable
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    _CachesNodes,
+    _NodeTable,
+    fit_trees,
+)
 
-__all__ = ["RandomForestClassifier", "RandomForestRegressor"]
+__all__ = ["RandomForestClassifier", "RandomForestRegressor", "fit_forests", "grows_together"]
 
 # Predictions descend at most this many (tree, row, output) cells at a time.
 _CHUNK_CELLS = 1 << 16
@@ -74,41 +88,12 @@ class _BaseForest(_CachesNodes, BaseEstimator):
         self.estimators_: list = []
         self.feature_importances_: np.ndarray | None = None
 
-    def _make_tree(self, seed: int, engine: SplitEngine):
+    def _make_tree(self, seed: int):
         raise NotImplementedError
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_BaseForest":
         X, y = check_X_y(X, y)
-        self._nodes = None
-        self._pre_fit(y)
-        rng = np.random.default_rng(self.seed)
-        n = X.shape[0]
-        self.estimators_ = []
-        importances = np.zeros(X.shape[1], dtype=float)
-        # One engine instance serves every tree: each fit presorts its own
-        # bootstrap sample at most once, scratch buffers are allocated once
-        # per forest, and the forest-level hooks let the presort engine
-        # derive per-sample orders from a single presort of X.
-        engine = resolve_engine(self.split_engine)
-        engine.begin_forest(X, y)
-        try:
-            for _ in range(self.n_estimators):
-                tree = self._make_tree(int(rng.integers(0, 2**31 - 1)), engine)
-                if self.bootstrap:
-                    idx = rng.integers(0, n, size=n)
-                    engine.set_bootstrap(idx)
-                    tree.fit(X[idx], y[idx])
-                else:
-                    engine.set_bootstrap(None)
-                    tree.fit(X, y)
-                self.estimators_.append(tree)
-                importances += tree.feature_importances_
-        finally:
-            engine.end_forest()
-        total = importances.sum()
-        self.feature_importances_ = (
-            importances / total if total > 0 else np.zeros_like(importances)
-        )
+        fit_forests([self], X, y, [None])
         return self
 
     def _pre_fit(self, y: np.ndarray) -> None:
@@ -135,14 +120,14 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
     def _pre_fit(self, y: np.ndarray) -> None:
         self.classes_ = np.unique(y)
 
-    def _make_tree(self, seed: int, engine: SplitEngine) -> DecisionTreeClassifier:
+    def _make_tree(self, seed: int) -> DecisionTreeClassifier:
         return DecisionTreeClassifier(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
             max_features=self.max_features,
             seed=seed,
-            split_engine=engine,
+            split_engine=self.split_engine,
         )
 
     def _leaf_values(self, table: _NodeTable) -> np.ndarray:
@@ -173,14 +158,14 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
 class RandomForestRegressor(_BaseForest, RegressorMixin):
     """Mean-aggregated forest of variance-reduction CART trees."""
 
-    def _make_tree(self, seed: int, engine: SplitEngine) -> DecisionTreeRegressor:
+    def _make_tree(self, seed: int) -> DecisionTreeRegressor:
         return DecisionTreeRegressor(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
             max_features=self.max_features,
             seed=seed,
-            split_engine=engine,
+            split_engine=self.split_engine,
         )
 
     def _leaf_values(self, table: _NodeTable) -> np.ndarray:
@@ -194,3 +179,51 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
         for rows in _row_chunks(X.shape[0], len(self.estimators_)):
             preds[:, rows] = values[table.descend(X[rows])]
         return preds.mean(axis=0)
+
+
+def fit_forests(
+    forests: "list[_BaseForest]", X: np.ndarray, y: np.ndarray, samples: list
+) -> None:
+    """Fit ``forests[i]`` on rows ``samples[i]`` of a checked ``(X, y)``
+    (``None``: all rows), growing all their trees together.
+
+    The forests are clones of one template. Each draws its trees' seeds and
+    bootstraps from its own seed, as a lone fit does, and every tree then
+    reads its rows through that sample (no copy of ``X`` per tree), so
+    trees, importances and predictions equal a fit of each forest on
+    ``X[samples[i]]``. Cross-validation passes one clone per fold: the
+    oracle's folds grow in one lockstep from one presort of ``X``.
+    """
+    n = X.shape[0]
+    trees, tree_rows = [], []
+    for forest, sample in zip(forests, samples):
+        # int32 row indices (as the builder's): a bootstrap's draws are a
+        # tree's largest state while all trees of a call grow.
+        rows = np.asarray(np.arange(n) if sample is None else sample, dtype=np.int32)
+        forest._nodes = None
+        forest._pre_fit(y[rows])
+        rng = np.random.default_rng(forest.seed)
+        forest.estimators_ = []
+        for _ in range(forest.n_estimators):
+            tree = forest._make_tree(int(rng.integers(0, 2**31 - 1)))
+            if forest.bootstrap:
+                tree_rows.append(rows[rng.integers(0, len(rows), size=len(rows))])
+            else:
+                tree_rows.append(rows)
+            forest.estimators_.append(tree)
+            trees.append(tree)
+    fit_trees(trees, X, y, tree_rows, resolve_engine(forests[0].split_engine))
+    for forest in forests:
+        importances = np.zeros(X.shape[1], dtype=float)
+        for tree in forest.estimators_:
+            importances += tree.feature_importances_
+        total = importances.sum()
+        forest.feature_importances_ = (
+            importances / total if total > 0 else np.zeros_like(importances)
+        )
+
+
+def grows_together(estimator) -> bool:
+    """Whether cross-validation may fit clones of ``estimator`` with
+    :func:`fit_forests`: a forest whose class keeps the stock ``fit``."""
+    return isinstance(estimator, _BaseForest) and type(estimator).fit is _BaseForest.fit

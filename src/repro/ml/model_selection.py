@@ -6,7 +6,13 @@ the downstream oracle calls. Folds are independent fits, so
 ``cross_val_score`` can optionally farm them out to a process pool
 (``n_jobs``) with deterministic result order — fold *i*'s score is the same
 value serial or parallel, because each fold's work is a pure function of
-the estimator template and the (seeded) splitter.
+the estimator template and the (seeded) splitter. On the serial path a
+random forest template fits one clone per fold through
+:func:`repro.ml.forest.fit_forests`, which grows every fold's trees in one
+lockstep; each fold is then predicted and scored on its own. Such a call
+never runs the clones' ``fit`` methods, so tracers that wrap
+``RandomForestClassifier.fit`` or ``DecisionTreeClassifier.fit`` see no
+calls from it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro import procs
-from repro.ml.base import BaseEstimator, clone
+from repro.ml.base import BaseEstimator, check_X_y, clone
+from repro.ml.forest import fit_forests, grows_together
 
 __all__ = ["KFold", "StratifiedKFold", "train_test_split", "cross_val_score"]
 
@@ -149,23 +156,48 @@ def _parallel_payload_ok(estimator: BaseEstimator, scorer: Callable) -> bool:
 def _fit_score_fold(inputs: tuple, fold: tuple) -> tuple[float, float]:
     """Fit and score one fold; returns (score, fit+score seconds).
 
-    The single code path for serial and pooled folds, which is what makes
-    fold-parallel results deterministic and identical to serial ones.
-    ``inputs`` is what every fold of one call shares: ``(estimator, X, y,
-    scorer, use_proba)``.
+    A fold's clone fits alone here: on the fold-parallel path, and on the
+    serial path for estimators that do not grow together. ``inputs`` is
+    what every fold of one call shares: ``(estimator, X, y, scorer,
+    use_proba)``.
     """
     estimator, X, y, scorer, use_proba = inputs
     train, test = fold
     start = time.perf_counter()
     model = clone(estimator)
     model.fit(X[train], y[train])
+    return _score_fold(inputs, model, test, time.perf_counter() - start)
+
+
+def _fit_score_folds(inputs: tuple, folds: list) -> list[tuple[float, float]]:
+    """The serial path: fit every fold's clone, then score fold by fold.
+
+    Forests (:func:`~repro.ml.forest.grows_together`) grow all folds'
+    trees in one lockstep, and each fold is charged an equal share of that
+    fit; other estimators fit fold by fold. Either way a fold's model and
+    score equal a fit of a clone on its training rows alone.
+    """
+    estimator, X, y, _, _ = inputs
+    if not grows_together(estimator):
+        return [_fit_score_fold(inputs, fold) for fold in folds]
+    start = time.perf_counter()
+    models = [clone(estimator) for _ in folds]
+    X_checked, y_checked = check_X_y(X, y)
+    fit_forests(models, X_checked, y_checked, [train for train, _ in folds])
+    share = (time.perf_counter() - start) / len(folds)
+    return [_score_fold(inputs, model, test, share) for model, (_, test) in zip(models, folds)]
+
+
+def _score_fold(inputs: tuple, model, test: np.ndarray, fit_seconds: float) -> tuple[float, float]:
+    _, X, y, scorer, use_proba = inputs
+    start = time.perf_counter()
     if use_proba:
         proba = model.predict_proba(X[test])
         pred = proba[:, -1] if proba.ndim == 2 else proba
     else:
         pred = model.predict(X[test])
     score = scorer(y[test], pred)
-    return float(score), time.perf_counter() - start
+    return float(score), fit_seconds + time.perf_counter() - start
 
 
 def _pooled_fold(fold: tuple) -> tuple[float, float]:
@@ -201,7 +233,10 @@ def cross_val_score(
     return_fold_times:
         Also return each fold's fit+score wall seconds (measured inside
         the worker), so callers can account oracle cost as summed compute
-        rather than pool wall time.
+        rather than pool wall time. When the serial path grows a forest's
+        folds together, a fold's time is its own scoring plus an equal
+        share of the joint fit, so the times sum to the call's cost but no
+        longer tell the folds' fits apart.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -217,7 +252,7 @@ def cross_val_score(
         with procs.pool(n_workers, inputs) as pool:
             results = list(pool.map(_pooled_fold, folds))
     else:
-        results = [_fit_score_fold(inputs, fold) for fold in folds]
+        results = _fit_score_folds(inputs, folds)
 
     scores = np.asarray([score for score, _ in results], dtype=float)
     if return_fold_times:

@@ -2,42 +2,68 @@
 
 The oracle A(F, y) spends nearly all of its time fitting random forests,
 and a CART fit spends nearly all of *its* time finding the best split per
-node. This module isolates that search behind a strategy interface so the
-tree builder (:mod:`repro.ml.tree`) stays criterion-agnostic.
+node. The tree builder (:mod:`repro.ml.tree`) grows many trees together,
+one node of every unfinished tree per round, and asks its engine for the
+best split of every node of a round in one call, :meth:`SplitEngine.best_splits`.
 
-:class:`PresortEngine` is the one engine the package ships. It argsorts
-every feature **once per fit**. At each node, the node's sorted order per
-feature is recovered by filtering the presorted index matrix through a
-boolean membership mask, and all candidate features are scored in one
-vectorized cumulative scan. Because the tree builder keeps node index
-sets in ascending row order, a stable per-node argsort breaks ties by row
-index, which is precisely the order the filtered presort yields.
+:class:`PresortEngine` is the one engine the package ships. One
+``begin_fit`` serves every tree grown from one matrix: all folds' trees of
+an oracle call, read through their row maps. It sorts a round's nodes by
+size and scores them in blocks of similar-sized nodes, each at most
+``_BLOCK_CELLS`` (node, candidate, position) cells once padded to its
+widest node, which bounds the working set to a few hundred KB:
 
-The seed's per-node-argsort engine lives on as a test oracle in
-``tests/reference/split_engine.py``. The two compute the same per-position
-gains with the same numpy operations in the same order, so their trees,
-thresholds, importances and predictions are **bit-identical**;
-``tests/ml/test_split_engine.py`` asserts it array-for-array.
+- nodes of at most ``_SMALL`` rows are gathered into a ``+inf``-padded
+  (node, feature, row) block and stable-argsorted along rows, so padding
+  sorts last and ties keep the node's row order;
+- larger nodes filter the matrix's presort (one stable argsort per feature,
+  made the first time a large node samples it) through the node's rows.
+  The filter orders ties between different rows by row index, not by the
+  node's row order. That only matters for running float sums, so for
+  regression a feature with tied values is argsorted per node instead.
+
+One gain implementation scores both blocks position by position, with
+each row's own totals: class counts are exact integer cumsums (class 0's
+the remainder of the others'), the class sum runs left to right up to 7
+classes and through ``np.sum`` from 8 on (numpy's pairwise order, as the
+seed's one-hot scan), and variance sums accumulate in each row's own
+sorted order. Positions at or past
+``m - min_samples_leaf`` and between equal values are masked, and a node
+takes the first candidate feature that is better than the best so far by
+more than ``_EPS``.
+
+Injected engines (the seed's :class:`~tests.reference.split_engine.NaiveEngine`
+in the tests) implement :meth:`SplitEngine.best_split` for one node; the
+base :meth:`~SplitEngine.best_splits` calls it node by node, so such
+trees grow in the same lockstep. ``tests/ml/test_split_engine.py``
+and ``tests/ml/test_tree_builder.py`` assert that every path fits the
+same trees, thresholds, importances and predictions, bit for bit.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 __all__ = ["SplitEngine", "PresortEngine", "resolve_engine"]
 
 _EPS = 1e-15
-_NO_SPLIT = (0.0, -1, 0.0)
+
+# Nodes of at most this many rows are searched in the padded block; larger
+# ones filter the presort. Both give the same gains, so it is a speed knob.
+_SMALL = 128
+# Cells (node rows x candidates x positions) one scoring block may hold.
+_BLOCK_CELLS = 1 << 12
 
 
 class SplitEngine:
-    """Strategy interface for per-node best-split search.
+    """Strategy interface for best-split search.
 
-    Lifecycle: the tree builder calls :meth:`begin_fit` once per ``fit``,
-    then :meth:`best_split` once per internal-node candidate, then
-    :meth:`end_fit`. Engines are reusable across sequential fits (a forest
-    passes one engine instance to every tree, so per-fit scratch buffers
-    are shared) but are not thread-safe.
+    Lifecycle: the tree builder calls :meth:`begin_fit` with the matrix its
+    trees read, then :meth:`best_splits` once per round, then
+    :meth:`end_fit`. Engines are reusable across sequential fits but are
+    not thread-safe.
     """
 
     def begin_fit(
@@ -61,106 +87,45 @@ class SplitEngine:
     ) -> tuple[float, int, float]:
         """Return ``(gain, feature, threshold)``; ``feature == -1`` means leaf.
 
-        ``idx`` is the node's sample index set in ascending order;
-        ``candidates`` the feature indices to scan, in the order the
-        tie-break must respect (first strictly-better feature wins);
-        ``node_y`` is ``y[idx]``, which the builder already holds.
+        ``idx`` holds the node's rows of the fitted matrix in the order of
+        its tree's sample; ``candidates`` the feature indices to scan, in
+        the order the tie-break must respect (first strictly-better
+        feature wins); ``node_y`` is ``y[idx]``.
         """
         raise NotImplementedError
+
+    def best_splits(
+        self, rows: list[np.ndarray], candidates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Best split of every node of a round: ``(gain, feature, threshold)``
+        arrays, one entry per node; ``feature == -1`` means leaf.
+
+        ``rows[i]`` holds node ``i``'s rows of the fitted matrix in the
+        order of its tree's sample; ``candidates[i]`` its candidate
+        features. This default searches node by node.
+        """
+        found = [self.best_split(r, c, self._y[r]) for r, c in zip(rows, candidates)]
+        gain, feature, threshold = zip(*found)
+        return np.array(gain), np.array(feature), np.array(threshold)
 
     def end_fit(self) -> None:
         """Drop per-fit references so fitted estimators pickle lean."""
         self._X = self._y = None
 
-    # -- forest-level workspace hooks (no-ops by default) -------------------
-
-    def begin_forest(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Called once by a forest before fitting its trees on resamples
-        of ``X``; engines may build forest-wide shared state here."""
-
-    def set_bootstrap(self, idx: "np.ndarray | None") -> None:
-        """Row indices of the *next* tree's sample in the forest's ``X``
-        (``None`` for a no-resample fit)."""
-
-    def end_forest(self) -> None:
-        """Drop forest-level state."""
-
-    # Engines carry no fitted state between fits; pickling one (e.g. inside
-    # a fitted tree that kept a reference) must not drag the training data
-    # or scratch buffers along.
+    # Engines carry no fitted state between fits; pickling one (old fitted
+    # trees kept a reference) must not drag the training data along.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for key in (
-            "_X", "_y", "_XT", "_sorted", "_have_sort", "_mask", "_pos_f", "_ar", "_bufs",
-            "_src_XT", "_src_sorted", "_src_have", "_src_tie_free",
-            "_next_sample", "_fit_boot", "_fit_identity", "_boot_state",
-        ):
+        for key in ("_X", "_y", "_sorted", "_have_sort", "_tie_free"):
             state.pop(key, None)
         return state
 
 
 class PresortEngine(SplitEngine):
-    """Presorted, fully vectorized split search.
-
-    Each feature is stable-argsorted at most **once per fit** (lazily, the
-    first time a node samples it). A node's per-feature sorted index
-    partition is then recovered by filtering the presorted row through a
-    boolean membership mask — a stable filter, so ties stay ordered by
-    global row index, which is exactly the order a per-node stable argsort
-    yields (the tree builder keeps node index sets ascending). All
-    candidate features of a node are scored in one batched cumulative-sum
-    scan: no per-feature Python loop, and ~10 numpy calls per node instead
-    of ~15 per feature.
-
-    For nodes much smaller than the training set the O(n) membership
-    filter costs more than re-sorting the node block in a single batched
-    argsort, so small nodes take that route instead. Both paths compute
-    identical sorted orders, so the cutoff is purely a performance knob.
-    """
+    """Round-at-a-time split search for many trees over one matrix."""
 
     # The ``engine`` label of the oracle's ``eval.*`` trace metrics.
     name = "presort"
-
-    # Use the presort+filter path while m > n / _FILTER_FACTOR; smaller
-    # nodes re-sort their (k, m) block in one batched stable argsort
-    # (empirically the filter's O(n)-per-feature cost only pays off for
-    # the upper levels of the tree).
-    _FILTER_FACTOR = 8
-
-    # -- forest-level workspace ---------------------------------------------
-
-    def begin_forest(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Share one presort of the forest's matrix across all trees.
-
-        Each tree still gets "one presort of its bootstrap sample per
-        fit", but for features whose source column has no duplicate
-        values that presort is *derived* from the forest-level presort in
-        O(n): replace every source row, in source sorted order, by that
-        row's draw positions in ascending order. Bootstrap duplicates of
-        one source row are equal values whose stable order is exactly
-        ascending draw position, so the derivation is bit-identical to a
-        stable argsort of the sample. Columns with duplicate source
-        values (where cross-row ties would need a draw-position merge)
-        fall back to a per-tree argsort.
-        """
-        n, d = X.shape
-        self._src_XT = np.ascontiguousarray(X.T)
-        self._src_sorted = np.empty((d, n), dtype=np.int32)
-        self._src_have = np.zeros(d, dtype=bool)
-        self._src_tie_free = np.zeros(d, dtype=bool)
-        self._next_sample: "tuple | None" = None
-
-    def set_bootstrap(self, idx: "np.ndarray | None") -> None:
-        self._next_sample = (idx,)
-
-    def end_forest(self) -> None:
-        self._src_XT = self._src_sorted = self._src_have = self._src_tie_free = None
-        self._next_sample = None
-        # The fitted trees keep a reference to this shared engine, so the
-        # within-forest workspace must not outlive the fit — at FULL-scale
-        # row counts the scratch block alone is hundreds of MB.
-        self._mask = None
-        self._bufs = {}
 
     def begin_fit(
         self,
@@ -171,281 +136,219 @@ class PresortEngine(SplitEngine):
         min_samples_leaf: int,
     ) -> None:
         super().begin_fit(X, y, criterion, n_classes, min_samples_leaf)
+        if criterion == "gini":
+            self._y = y.astype(np.int32)  # class codes; halves every gather
         n, d = X.shape
-        # Row-contiguous layout makes per-node gathers sequential reads;
-        # int32 indices halve the traffic of every membership filter.
-        self._XT = np.ascontiguousarray(X.T)
+        # Gathers take flat indices into X; int32 indices halve the
+        # traffic of every presort filter.
+        self._X = np.ascontiguousarray(X)
         self._sorted = np.empty((d, n), dtype=np.int32)
         self._have_sort = np.zeros(d, dtype=bool)
-        self._cutoff = n // self._FILTER_FACTOR
-        self._pos_f = np.arange(n, dtype=float)  # shared n_left views
-        self._ar = np.arange(max(n, d))  # shared row-index vector
-        if self._criterion == "gini":
-            # Class counts fit comfortably in int32; exact either way.
-            self._y = y.astype(np.int32)
-        mask = getattr(self, "_mask", None)
-        if mask is None or mask.shape[0] != n:
-            self._mask = np.zeros(n, dtype=bool)
-        else:
-            self._mask[:] = False
-        if not hasattr(self, "_bufs"):
-            self._bufs: dict[str, np.ndarray] = {}
-        # One-shot sample linkage from the owning forest (if any).
-        nxt = getattr(self, "_next_sample", None)
-        self._next_sample = None
-        self._fit_boot = None
-        self._fit_identity = False
-        if nxt is not None and getattr(self, "_src_XT", None) is not None:
-            idx = nxt[0]
-            if idx is None:
-                self._fit_identity = n == self._src_XT.shape[1]
-            elif idx.shape[0] == n:
-                self._fit_boot = idx
-        self._boot_state = None
+        self._tie_free = np.zeros(d, dtype=bool)
 
     def end_fit(self) -> None:
         super().end_fit()
-        # The mask and scratch buffers survive as the forest-shared
-        # workspace; everything tied to this fit's data is dropped.
-        self._XT = self._sorted = self._have_sort = self._pos_f = self._ar = None
-        self._fit_boot = self._boot_state = None
-        self._fit_identity = False
+        self._sorted = self._have_sort = self._tie_free = None
 
-    # -- per-fit presort (lazy, possibly derived from the forest) -----------
-
-    def _ensure_src_sorted(self, feats: np.ndarray) -> None:
-        need = feats[~self._src_have[feats]]
-        if need.size:
-            orders = np.argsort(self._src_XT[need], axis=1, kind="stable")
-            self._src_sorted[need] = orders
-            vals = np.take_along_axis(self._src_XT[need], orders, axis=1)
-            self._src_tie_free[need] = np.all(vals[:, 1:] > vals[:, :-1], axis=1)
-            self._src_have[need] = True
-
-    def _boot_machinery(self) -> tuple:
-        st = self._boot_state
-        if st is None:
-            idx = self._fit_boot
-            n_src = self._src_XT.shape[1]
-            order_by_row = np.argsort(idx, kind="stable").astype(np.int32)
-            counts = np.bincount(idx, minlength=n_src)
-            starts = np.empty(n_src + 1, dtype=np.int64)
-            starts[0] = 0
-            np.cumsum(counts, out=starts[1:])
-            self._boot_state = st = (order_by_row, counts, starts)
-        return st
-
-    def _derive_sorted(self, f: int) -> None:
-        """O(n) bootstrap sorted order for a tie-free source feature."""
-        order_by_row, counts, starts = self._boot_machinery()
-        src_order = self._src_sorted[f]
-        cnt = counts[src_order]
-        total = self._XT.shape[1]
-        out_off = np.empty(len(cnt) + 1, dtype=np.int64)
-        out_off[0] = 0
-        np.cumsum(cnt, out=out_off[1:])
-        # Group g (source row r = src_order[g]) occupies output slots
-        # [out_off[g], out_off[g+1]); slot t maps to the row's t-th draw.
-        rep = np.repeat(starts[src_order] - out_off[:-1], cnt)
-        self._sorted[f] = order_by_row[rep + self._ar[:total]]
-
-    def _ensure_sorted(self, missing: np.ndarray) -> None:
-        if self._fit_boot is not None or self._fit_identity:
-            self._ensure_src_sorted(missing)
-            if self._fit_identity:
-                self._sorted[missing] = self._src_sorted[missing]
-            else:
-                for f in missing:
-                    if self._src_tie_free[f]:
-                        self._derive_sorted(int(f))
-                    else:
-                        self._sorted[f] = np.argsort(self._XT[f], kind="stable")
-        else:
-            self._sorted[missing] = np.argsort(self._XT[missing], axis=1, kind="stable")
-        self._have_sort[missing] = True
-
-    def _scratch(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
-        """A reusable uninitialized buffer view (no allocation when warm)."""
-        need = 1
-        for s in shape:
-            need *= s
-        buf = self._bufs.get(key)
-        if buf is None or buf.size < need or buf.dtype != dtype:
-            buf = np.empty(max(need, 1), dtype=dtype)
-            self._bufs[key] = buf
-        return buf[:need].reshape(shape)
-
-    def _node_orders(self, idx: np.ndarray, candidates: np.ndarray, node_y: np.ndarray, m: int):
-        """Sorted views of the node: ``x_sorted``, ``y_sorted`` (k, m)."""
-        if m > self._cutoff:
-            # Presort + membership-mask filter. Sort each sampled feature
-            # at most once per fit; unsampled features are never sorted.
-            missing = candidates[~self._have_sort[candidates]]
-            if missing.size:
-                self._ensure_sorted(missing)
-            rows = self._sorted[candidates]
-            if m == rows.shape[1]:
-                orders = rows  # root: the presort itself
-            else:
-                mask = self._mask
-                mask[idx] = True
-                orders = rows[mask[rows]].reshape(candidates.shape[0], m)
-                mask[idx] = False
-            x_sorted = self._XT[candidates[:, None], orders]
-            y_sorted = self._y[orders]
-        else:
-            # Small node: one batched stable argsort of the node block.
-            # Ties break by position within ``idx`` — the same order the
-            # membership filter preserves, since ``idx`` is ascending.
-            rows = self._ar[: candidates.shape[0], None]
-            block = self._XT[candidates[:, None], idx]
-            local = np.argsort(block, axis=1, kind="stable")
-            x_sorted = block[rows, local]
-            # For gini fits the engine carries int32 class codes (``_y`` is
-            # its own copy); gather those so the cumsum buffers keep one
-            # stable dtype across nodes.
-            y_node = node_y if node_y.dtype == self._y.dtype else self._y[idx]
-            y_sorted = y_node[local]
-        return x_sorted, y_sorted
-
-    def best_split(
-        self, idx: np.ndarray, candidates: np.ndarray, node_y: np.ndarray
-    ) -> tuple[float, int, float]:
-        m = idx.shape[0]
-        k = candidates.shape[0]
-
-        # Candidate split positions form the contiguous run [lo, hi); all
-        # per-position arrays below are therefore cheap slice views, and a
-        # position's validity (left neighbor strictly smaller) becomes a
-        # mask applied at the end — the gain values at valid positions are
-        # computed by exactly the reference engine's expressions.
-        lo, hi = self._min_samples_leaf, m - self._min_samples_leaf
-        if hi <= lo:
-            return _NO_SPLIT
-        p = hi - lo
-
-        x_sorted, y_sorted = self._node_orders(idx, candidates, node_y, m)
-
-        if self._criterion != "gini":
-            gain = self._variance_gains(y_sorted, lo, hi, m)
-        elif self._n_classes == 2:
-            # Binary fast path, inlined and allocation-free (one scratch
-            # block). Class counts are small exact integers, so every
-            # row's total is the same value (parent comes from row 0) and
-            # the integer cumsum matches the reference's float one-hot
-            # cumsum bit for bit; each arithmetic step mirrors its Gini scan.
-            F = self._scratch("bin", (8, k, p))
-            cum1 = np.cumsum(y_sorted, axis=1, out=self._scratch("cum", (k, m), y_sorted.dtype))
-            ones_left = cum1[:, lo - 1 : hi - 1]
-            ones_total = cum1[:1, -1:]
-            n_left = self._pos_f[lo:hi]
-            n_right = np.subtract(float(m), n_left, out=self._scratch("nr", (p,)))
-            zeros_left = np.subtract(n_left, ones_left, out=F[0])
-            ones_right = np.subtract(ones_total, ones_left, out=F[1])
-            zeros_right = np.subtract(n_right, ones_right, out=F[2])
-            # 1 - ((zeros/count)^2 + (ones/count)^2), left then right
-            np.divide(zeros_left, n_left, out=F[3])
-            np.multiply(F[3], F[3], out=F[3])
-            np.divide(ones_left, n_left, out=F[4])
-            np.multiply(F[4], F[4], out=F[4])
-            np.add(F[3], F[4], out=F[3])
-            gini_left = np.subtract(1.0, F[3], out=F[3])
-            np.divide(zeros_right, n_right, out=F[5])
-            np.multiply(F[5], F[5], out=F[5])
-            np.divide(ones_right, n_right, out=F[6])
-            np.multiply(F[6], F[6], out=F[6])
-            np.add(F[5], F[6], out=F[5])
-            gini_right = np.subtract(1.0, F[5], out=F[5])
-            parent = 1.0 - (((m - ones_total) / m) ** 2 + (ones_total / m) ** 2)
-            np.multiply(n_left, gini_left, out=F[3])
-            np.multiply(n_right, gini_right, out=F[5])
-            np.add(F[3], F[5], out=F[3])
-            np.divide(F[3], float(m), out=F[3])
-            gain = np.subtract(parent, F[3], out=F[7])
-        else:
-            gain = self._gini_gains(y_sorted, lo, hi, m)
-
-        valid = np.less(
-            x_sorted[:, lo - 1 : hi - 1],
-            x_sorted[:, lo:hi],
-            out=self._scratch("valid", (k, p), dtype=bool),
-        )
-        np.copyto(gain, -np.inf, where=np.logical_not(valid, out=valid))
-
-        best_pos = np.argmax(gain, axis=1)
-        gains = gain[self._ar[:k], best_pos].tolist()
-        positions = best_pos.tolist()
-        feats = candidates.tolist()
-
-        # Same tie-break as a per-feature candidate loop: first feature that is
-        # strictly better (by _EPS) than the best so far wins.
-        best_gain, best_feature, best_threshold = _NO_SPLIT
+    def best_splits(
+        self, rows: list[np.ndarray], candidates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n_nodes, k = candidates.shape
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=n_nodes)
+        gains = np.empty((n_nodes, k))
+        thresholds = np.empty((n_nodes, k))
+        # Blocks of similar-sized nodes, smallest first: each holds nodes
+        # of one kind (padded or presorted) and at most _BLOCK_CELLS cells
+        # once padded to its widest node, which bounds the working set.
+        by_size = np.argsort(sizes, kind="stable")
+        width = sizes[by_size].tolist()
+        start = 0
+        while start < n_nodes:
+            small = width[start] <= _SMALL
+            stop = start + 1
+            while (
+                stop < n_nodes
+                and (width[stop] <= _SMALL) == small
+                and (stop - start + 1) * k * width[stop] <= _BLOCK_CELLS
+            ):
+                stop += 1
+            part = by_size[start:stop]
+            block = self._padded_block if small else self._presorted_block
+            x, y, m = block([rows[i] for i in part], candidates[part], sizes[part])
+            gain, threshold = self._best_positions(x, y, m)
+            gains[part] = gain.reshape(-1, k)
+            thresholds[part] = threshold.reshape(-1, k)
+            start = stop
+        # The first candidate strictly better (by _EPS) than the best so far
+        # wins, scanned for every node at once.
+        best = np.zeros(n_nodes)
+        column = np.full(n_nodes, -1)
         for j in range(k):
-            g = gains[j]
-            if g > best_gain + _EPS:
-                i = lo + positions[j]
-                best_gain = g
-                best_feature = feats[j]
-                best_threshold = float(0.5 * (x_sorted[j, i - 1] + x_sorted[j, i]))
-        return best_gain, best_feature, best_threshold
+            better = gains[:, j] > best + _EPS
+            np.copyto(best, gains[:, j], where=better)
+            np.copyto(column, j, where=better)
+        nodes = np.arange(n_nodes)
+        found = column >= 0
+        feature = np.where(found, candidates[nodes, column], -1)
+        threshold = np.where(found, thresholds[nodes, column], 0.0)
+        return best, feature, threshold
 
-    def _gini_gains(self, y_sorted: np.ndarray, lo: int, hi: int, m: int) -> np.ndarray:
-        """Multiclass Gini gains at positions [lo, hi), shape (k, p).
+    # -- sorted (x, y) blocks, one row per (node, candidate) ----------------
 
-        Class counts are small exact integers (so every row's total is
-        the same value and the parent term comes from row 0); the gain
-        expressions apply the same operations in the same order as the
-        reference engine's Gini scan, hence bit-identical values. The binary case
-        takes the inlined fast path in :meth:`best_split` instead.
-        """
-        n_left = self._pos_f[lo:hi]
-        n_right = m - n_left
-        onehot = (y_sorted[:, :, None] == np.arange(self._n_classes)).astype(float)
-        cum = np.cumsum(onehot, axis=1)
-        left_counts = cum[:, lo - 1 : hi - 1, :]
-        total = cum[:, -1, :]
-        right_counts = total[:, None, :] - left_counts
-        gini_left = 1.0 - np.sum((left_counts / n_left[None, :, None]) ** 2, axis=2)
-        gini_right = 1.0 - np.sum((right_counts / n_right[None, :, None]) ** 2, axis=2)
-        parent = np.reshape(1.0 - np.sum((total[:1] / m) ** 2, axis=1), (-1, 1))
-        return parent - (n_left * gini_left + n_right * gini_right) / m
+    def _padded_block(self, rows, candidates, sizes):
+        """Small nodes: one stable argsort of the ``+inf``-padded block."""
+        n_nodes, k = candidates.shape
+        width = int(sizes.max())
+        flat = np.concatenate(rows)
+        offsets = np.arange(n_nodes) * width - (np.cumsum(sizes) - sizes)
+        idx = np.zeros((n_nodes, width), dtype=flat.dtype)
+        idx.flat[np.arange(flat.size) + np.repeat(offsets, sizes)] = flat
+        # Labels once per node; values once per (node, candidate) row.
+        y = np.take(self._y, idx)
+        x = np.take(self._X, idx[:, None, :] * np.intp(self._X.shape[1]) + candidates[:, :, None])
+        x = x.reshape(-1, width)
+        m = np.repeat(sizes, k)
+        np.copyto(x, np.inf, where=np.arange(width) >= m[:, None])
+        order = np.argsort(x, axis=1, kind="stable")
+        row = np.arange(len(x))
+        order += (row * width)[:, None]
+        x = np.take(x, order)
+        # The same positions in the row of y that holds the row's node.
+        order -= ((row - row // k) * width)[:, None]
+        return x, np.take(y, order), m
 
-    def _variance_gains(self, y_sorted: np.ndarray, lo: int, hi: int, m: int) -> np.ndarray:
-        """Variance-reduction gains at positions [lo, hi), shape (k, p)."""
-        # Unlike class counts, running float sums depend on accumulation
-        # order, and each row accumulates in its own sorted order — so the
-        # per-row totals (and the parent term) must stay per-row to match
-        # the reference engine bit for bit. Scratch buffers only avoid
-        # allocations; every arithmetic step mirrors its variance scan.
-        k, p = y_sorted.shape[0], hi - lo
-        s = self._scratch
-        cum = np.cumsum(y_sorted, axis=1, out=s("vcum", y_sorted.shape))
-        y2 = np.multiply(y_sorted, y_sorted, out=s("vy2", y_sorted.shape))
-        cum2 = np.cumsum(y2, axis=1, out=s("vcum2", y_sorted.shape))
+    def _presorted_block(self, rows, candidates, sizes):
+        """Large nodes: the presort filtered through each node's rows."""
+        n_nodes, k = candidates.shape
+        width = int(sizes.max())
+        x = np.full((n_nodes, k, width), np.inf)
+        y = np.zeros((n_nodes, k, width), dtype=self._y.dtype)
+        for i, (node, feats, m) in enumerate(zip(rows, candidates, sizes)):
+            order = self._node_orders(node, feats)
+            x[i, :, :m] = self._X[order, feats[:, None]]
+            y[i, :, :m] = self._y[order]
+        return x.reshape(-1, width), y.reshape(-1, width), np.repeat(sizes, k)
 
-        n_left = self._pos_f[lo:hi]
-        n_right = m - n_left
+    def _node_orders(self, node: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """The node's rows sorted by each feature, shape ``(k, m)``."""
+        missing = feats[~self._have_sort[feats]]
+        if missing.size:
+            columns = self._X[:, missing].T
+            orders = np.argsort(columns, axis=1, kind="stable")
+            self._sorted[missing] = orders
+            values = np.take_along_axis(columns, orders, axis=1)
+            self._tie_free[missing] = np.all(values[:, 1:] > values[:, :-1], axis=1)
+            self._have_sort[missing] = True
+        presorted = self._sorted[feats]
+        weight = np.bincount(node, minlength=presorted.shape[1])
+        present = presorted[weight[presorted] > 0]
+        order = np.repeat(present, weight[present]).reshape(len(feats), -1)
+        if self._criterion == "variance":
+            # Copies of one row are equal in x and y, so the filter's order
+            # among them is exact; equal values of different rows must keep
+            # the node's row order for the running sums.
+            tied = np.flatnonzero(~self._tie_free[feats])
+            if tied.size:
+                block = self._X[node, feats[tied, None]]
+                order[tied] = node[np.argsort(block, axis=1, kind="stable")]
+        return order
+
+    # -- the gains ------------------------------------------------------------
+
+    def _best_positions(self, x, y, m):
+        """Best gain and its threshold per row of sorted ``x`` (``+inf``
+        past each row's ``m`` values) and ``y``."""
+        lo = self._min_samples_leaf
+        n_rows, width = x.shape
+        hi = width - lo
+        if hi <= lo:
+            return np.full(n_rows, -np.inf), np.zeros(n_rows)
+        r = np.arange(n_rows)
+        n_left = np.arange(lo, hi, dtype=float)
+        m_f = m.astype(float)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self._criterion == "gini":
+                gain = self._gini_gains(y, lo, hi, r, m, m_f, n_left)
+            else:
+                gain = self._variance_gains(y, lo, hi, r, m, m_f, n_left)
+        # A split between positions i - 1 and i needs distinct values there
+        # and more than min_samples_leaf rows to its right.
+        invalid = x[:, lo - 1 : hi - 1] >= x[:, lo:hi]
+        invalid |= np.arange(lo, hi) >= (m - lo)[:, None]
+        np.copyto(gain, -np.inf, where=invalid)
+        best = np.argmax(gain, axis=1)
+        at = best + lo
+        return gain[r, best], 0.5 * (x[r, at - 1] + x[r, at])
+
+    def _gini_gains(self, y, lo, hi, r, m, m_f, n_left):
+        """Gini gains at positions [lo, hi). Class counts are exact
+        integer cumsums of classes 1 and up; class 0's are the remainder."""
+        n_classes = self._n_classes
+        counts = [np.cumsum(y == c, axis=1, dtype=np.int32) for c in range(1, n_classes)]
+        total = [count[r, m - 1] for count in counts]
+        gain = _gini([count[:, lo - 1 : hi - 1] for count in counts], n_left, n_classes)
+        np.multiply(n_left, gain, out=gain)
+        right = [t[:, None] - count[:, lo - 1 : hi - 1] for t, count in zip(total, counts)]
+        del counts
+        n_right = m_f - n_left
+        gini_right = _gini(right, n_right, n_classes)
+        np.multiply(n_right, gini_right, out=gini_right)
+        np.add(gain, gini_right, out=gain)
+        np.divide(gain, m_f, out=gain)
+        return np.subtract(_gini(total, m_f[:, 0], n_classes)[:, None], gain, out=gain)
+
+    def _variance_gains(self, y, lo, hi, r, m, m_f, n_left):
+        """Variance-reduction gains at positions [lo, hi). Running float
+        sums depend on order, so every total comes from its own row."""
+        cum = np.cumsum(y, axis=1)
+        cum2 = np.cumsum(y * y, axis=1)
+        total = cum[r, m - 1][:, None]
+        total2 = cum2[r, m - 1][:, None]
         sum_left = cum[:, lo - 1 : hi - 1]
-        sum_right = np.subtract(cum[:, -1:], sum_left, out=s("v0", (k, p)))
         sq_left = cum2[:, lo - 1 : hi - 1]
-        sq_right = np.subtract(cum2[:, -1:], sq_left, out=s("v1", (k, p)))
-        t0, t1 = s("v2", (k, p)), s("v3", (k, p))
-
-        def variance(sq, total, count, out):
-            # sq/count - (total/count)^2, allocation-free
-            np.divide(sq, count, out=out)
-            np.divide(total, count, out=t0)
-            np.multiply(t0, t0, out=t0)
-            return np.subtract(out, t0, out=out)
-
-        var_left = variance(sq_left, sum_left, n_left, s("v4", (k, p)))
-        var_right = variance(sq_right, sum_right, n_right, s("v5", (k, p)))
-        parent = cum2[:, -1:] / m - (cum[:, -1:] / m) ** 2
-        np.multiply(n_left, var_left, out=var_left)
+        n_right = m_f - n_left
+        var_right = _variance(total2 - sq_left, total - sum_left, n_right)
         np.multiply(n_right, var_right, out=var_right)
-        np.add(var_left, var_right, out=t1)
-        np.divide(t1, m, out=t1)
-        return np.subtract(parent, t1, out=t1)
+        # The left sums are not needed any more: compute in place.
+        gain = _variance(sq_left, sum_left, n_left)
+        np.multiply(n_left, gain, out=gain)
+        np.add(gain, var_right, out=gain)
+        np.divide(gain, m_f, out=gain)
+        parent = total2 / m_f - (total / m_f) ** 2
+        return np.subtract(parent, gain, out=gain)
+
+
+def _gini(counts, n, n_classes: int) -> np.ndarray:
+    """``1 - sum_c (count_c / n)**2`` from the count arrays of classes 1 to
+    ``n_classes - 1`` (class 0's is ``n`` minus theirs), summed in the
+    order ``np.sum`` takes over one row's classes: left to right up to 7
+    classes, pairwise from 8 on. Returns a fresh array."""
+    first = np.subtract(n, counts[0]) if len(counts) else np.array(n, dtype=float)
+    for count in counts[1:]:
+        np.subtract(first, count, out=first)
+    shares = itertools.chain(
+        [_squared(np.divide(first, n, out=first))],
+        (_squared(np.divide(count, n)) for count in counts),
+    )
+    if n_classes >= 8:
+        total = np.sum(np.stack(list(shares), axis=-1), axis=-1)
+    else:
+        total = next(shares)
+        for share in shares:
+            np.add(total, share, out=total)
+    return np.subtract(1.0, total, out=total)
+
+
+def _squared(a: np.ndarray) -> np.ndarray:
+    return np.multiply(a, a, out=a)
+
+
+def _variance(sq: np.ndarray, total: np.ndarray, count) -> np.ndarray:
+    """``sq / count - (total / count)**2``, computed in ``sq``, which it
+    returns (``total`` is overwritten too)."""
+    np.divide(sq, count, out=sq)
+    mean = np.divide(total, count, out=total)
+    return np.subtract(sq, _squared(mean), out=sq)
 
 
 def resolve_engine(engine: "SplitEngine | str | None") -> SplitEngine:

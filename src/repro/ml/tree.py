@@ -4,11 +4,26 @@ These trees are the workhorse of the downstream oracle: the paper's lineage
 (GRFG, FastFT) evaluates generated feature sets with a random forest, which
 is built on top of this module. The split search is an exact, sort-based scan
 (the classic CART algorithm) delegated to a
-:class:`~repro.ml.split_engine.SplitEngine`. Fits run on the presorted
-engine, which sorts each feature once per fit and scans all candidate
-features vectorized. ``split_engine`` takes an engine instance
-only so that a forest can share one engine with all of its trees, and so
-that tests can fit with the reference engine in ``tests/reference/``.
+:class:`~repro.ml.split_engine.SplitEngine`.
+
+One iterative builder, :func:`_grow`, fits every tree. It grows a list of
+trees together: each round pops one node from every unfinished tree's own
+pre-order stack, takes the class counts of all popped nodes from one
+segmented ``np.bincount`` (a regression node's mean and variance stay per
+node), draws each splittable node's candidate features from its tree's own
+seed, and asks the engine for all their splits in one call. Within a tree,
+node ids, candidate draws and importance adds follow the order of a
+recursive pre-order build, so the trees are the ones that build grew, bit
+for bit. A tree reads its rows of one shared matrix through its sample
+(a bootstrap's draws, a fold's training rows), so no tree copies ``X``.
+:func:`fit_trees` fits a single tree, a forest's trees
+(:mod:`repro.ml.forest`) and, for cross-validation, every fold's trees of
+an oracle call in one lockstep, on any engine: one that searches a node
+per call (the tests' reference engines) is asked node by node. A
+classifier tree keeps the classes its own sample holds, so trees whose
+samples hold different class lists grow in separate lockstep groups. The
+recursive builder it replaced lives on as a test oracle in
+``tests/reference/tree.py``.
 
 Prediction has one kernel, :meth:`_NodeTable.descend`. A node table
 concatenates the nodes of one or more trees into flat arrays with global
@@ -24,6 +39,7 @@ fitted number of columns.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -37,7 +53,7 @@ from repro.ml.base import (
     check_width,
     check_X_y,
 )
-from repro.ml.split_engine import SplitEngine, resolve_engine
+from repro.ml.split_engine import SplitEngine, _gini, resolve_engine
 
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
 
@@ -69,21 +85,6 @@ class _Tree(_CachesNodes):
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     value: list[np.ndarray] = field(default_factory=list)
-
-    def add_node(self, value: np.ndarray) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(value)
-        return len(self.feature) - 1
-
-    def finalize(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=float)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Return the leaf value row for every sample (vectorized descent)."""
@@ -143,7 +144,7 @@ class _NodeTable:
 
 
 class _BaseDecisionTree(BaseEstimator):
-    """Shared CART builder; subclasses define impurity and leaf values."""
+    """Shared CART estimator; subclasses name the criterion and predict."""
 
     # Split criterion the engine applies; set by subclasses.
     _criterion = "gini"
@@ -170,20 +171,6 @@ class _BaseDecisionTree(BaseEstimator):
         self.n_features_: int | None = None
         self.feature_importances_: np.ndarray | None = None
 
-    # -- subclass hooks -----------------------------------------------------
-
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """(leaf value, impurity) — overridable to share intermediate work."""
-        return self._leaf_value(y), self._node_impurity(y)
-
-    # -- fitting ------------------------------------------------------------
-
     def _resolve_max_features(self, n_features: int) -> int:
         mf = self.max_features
         if mf is None:
@@ -198,102 +185,14 @@ class _BaseDecisionTree(BaseEstimator):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_BaseDecisionTree":
         X, y = check_X_y(X, y)
-        y = self._encode_target(y)
-        self.n_features_ = X.shape[1]
-        self._rng = np.random.default_rng(self.seed)
-        self._importance = np.zeros(self.n_features_, dtype=float)
-        self._n_total = X.shape[0]
-        self.tree_ = _Tree()
-        engine = resolve_engine(self.split_engine)
-        engine.begin_fit(
-            X,
-            y,
-            criterion=self._criterion,
-            n_classes=getattr(self, "n_classes_", 0),
-            min_samples_leaf=self.min_samples_leaf,
-        )
-        self._engine = engine
-        try:
-            self._build(X, y, np.arange(X.shape[0]), depth=0)
-        finally:
-            engine.end_fit()
-            del self._engine
-        self.tree_.finalize()
-        total = self._importance.sum()
-        self.feature_importances_ = (
-            self._importance / total if total > 0 else np.zeros_like(self._importance)
-        )
+        fit_trees([self], X, y, [None], resolve_engine(self.split_engine))
         return self
-
-    def _encode_target(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=float)
-
-    def _build(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> int:
-        node_y = y[idx]
-        leaf_value, impurity = self._node_stats(node_y)
-        node_id = self.tree_.add_node(leaf_value)
-
-        n = len(idx)
-        if (
-            n < self.min_samples_split
-            or n < 2 * self.min_samples_leaf
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or impurity <= 1e-12
-        ):
-            return node_id
-
-        k = self._resolve_max_features(self.n_features_)
-        if k >= self.n_features_:
-            candidates = np.arange(self.n_features_)
-        else:
-            candidates = self._rng.choice(self.n_features_, size=k, replace=False)
-
-        best_gain, best_feature, best_threshold = self._engine.best_split(
-            idx, candidates, node_y
-        )
-
-        if best_feature < 0:
-            return node_id
-
-        go_left = X[idx, best_feature] <= best_threshold
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-            return node_id
-
-        self._importance[best_feature] += best_gain * n / self._n_total
-        left_id = self._build(X, y, left_idx, depth + 1)
-        right_id = self._build(X, y, right_idx, depth + 1)
-        self.tree_.feature[node_id] = best_feature
-        self.tree_.threshold[node_id] = best_threshold
-        self.tree_.left[node_id] = left_id
-        self.tree_.right[node_id] = right_id
-        return node_id
 
 
 class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
     """Gini-impurity CART classifier with probability leaves."""
 
     _criterion = "gini"
-
-    def _encode_target(self, y: np.ndarray) -> np.ndarray:
-        self.classes_, codes = np.unique(y, return_inverse=True)
-        self.n_classes_ = len(self.classes_)
-        return codes.astype(np.int64)
-
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(float)
-        return counts / counts.sum()
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        p = np.bincount(y, minlength=self.n_classes_) / len(y)
-        return float(1.0 - np.sum(p * p))
-
-    def _node_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        # One bincount serves both: counts/sum equals the leaf probability
-        # vector, and the same proportions feed the Gini impurity.
-        counts = np.bincount(y, minlength=self.n_classes_).astype(float)
-        p = counts / counts.sum()
-        return p, float(1.0 - np.sum(p * p))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.tree_ is None:
@@ -310,13 +209,212 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
 
     _criterion = "variance"
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        return np.array([np.mean(y)])
-
-    def _node_impurity(self, y: np.ndarray) -> float:
-        return float(np.var(y))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.tree_ is None:
             raise RuntimeError("Tree is not fitted")
         return self.tree_.apply(check_width(check_array(X), self.n_features_)).ravel()
+
+
+def fit_trees(
+    trees: Sequence[_BaseDecisionTree],
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: Sequence["np.ndarray | None"],
+    engine: SplitEngine,
+) -> None:
+    """Fit ``trees[t]`` on rows ``samples[t]`` of a checked ``(X, y)``.
+
+    A sample lists row indices in sample order (a bootstrap's draws, a
+    fold's training rows); ``None`` means every row in order. The trees
+    are of one class with the same hyper-parameters, and they grow
+    together on ``engine``, reading their rows of ``X`` through their
+    samples. A classifier keeps, per tree, the classes its sample holds
+    and codes them as a lone fit would, so trees grow together in groups
+    that share a class list.
+    """
+    n, d = X.shape
+    rows = [np.asarray(np.arange(n) if s is None else s, dtype=np.int32) for s in samples]
+    for tree in trees:
+        tree.n_features_ = d
+    if trees[0]._criterion != "gini":
+        _grow(trees, X, np.asarray(y, dtype=float), rows, 0, engine)
+        return
+    labels, codes = np.unique(y, return_inverse=True)
+    groups: dict[tuple, list[int]] = {}
+    for t, (tree, r) in enumerate(zip(trees, rows)):
+        present = np.flatnonzero(np.bincount(codes[r], minlength=len(labels)))
+        tree.classes_ = labels[present]
+        tree.n_classes_ = len(present)
+        groups.setdefault(tuple(present.tolist()), []).append(t)
+    for present, members in groups.items():
+        lookup = np.zeros(len(labels), dtype=codes.dtype)
+        lookup[list(present)] = np.arange(len(present))
+        _grow(
+            [trees[t] for t in members], X, lookup[codes], [rows[t] for t in members],
+            len(present), engine,
+        )
+
+
+def _grow(
+    trees: Sequence[_BaseDecisionTree],
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: Sequence[np.ndarray],
+    n_classes: int,
+    engine: SplitEngine,
+) -> None:
+    """The CART builder: grow ``trees`` together, one node of each per round.
+
+    Tree ``t`` reads rows ``rows[t]`` of ``X``. ``y`` holds every row's
+    class code below ``n_classes``, or its target when ``n_classes`` is 0.
+    Each tree keeps its own pre-order stack and each round
+    pops one node from every unfinished one, so within a tree node ids,
+    candidate draws (from the tree's own seed) and importance adds follow
+    the order of a recursive build; node ``r`` of every tree is popped in
+    round ``r``, and a split's left child is node ``r + 1``. The engine
+    scores every splittable node of a round in one call.
+    """
+    first = trees[0]
+    n_trees, d = len(trees), X.shape[1]
+    k = first._resolve_max_features(d)
+    min_split = max(first.min_samples_split, 2 * first.min_samples_leaf)
+    max_depth = np.inf if first.max_depth is None else first.max_depth
+    leaf_min = first.min_samples_leaf
+    rngs = [np.random.default_rng(tree.seed) for tree in trees]
+    n_total = np.array([len(r) for r in rows], dtype=float)
+    stacks = [[(r, 0, _LEAF)] for r in rows]
+    importance = np.zeros((n_trees, d))
+    n_nodes = np.zeros(n_trees, dtype=np.int64)
+    # Per round, every tree's entry for its node of that round: feature,
+    # threshold, right child and value row (a split's left child is the
+    # next node).
+    features: list[np.ndarray] = []
+    thresholds: list[np.ndarray] = []
+    rights: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    active = list(range(n_trees))
+    engine.begin_fit(
+        X, y, criterion=first._criterion, n_classes=n_classes, min_samples_leaf=leaf_min
+    )
+    try:
+        while active:
+            r = len(features)
+            popped = [stacks[t].pop() for t in active]
+            ids = np.array(active)
+            n_nodes[ids] += 1
+            nodes = [node for node, _, _ in popped]
+            sizes = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
+            value, impurity = _node_stats(nodes, sizes, y, n_classes)
+            feature = np.full(n_trees, _LEAF, dtype=np.int64)
+            threshold = np.zeros(n_trees)
+            features.append(feature)
+            thresholds.append(threshold)
+            rights.append(np.full(n_trees, _LEAF, dtype=np.int64))
+            values.append(np.zeros((n_trees, value.shape[1])))
+            values[r][ids] = value
+            depths = [depth for _, depth, _ in popped]
+            for t, (_, _, parent) in zip(active, popped):
+                if parent != _LEAF:
+                    rights[parent][t] = r
+            open_nodes = np.flatnonzero(
+                (sizes >= min_split) & (np.array(depths) < max_depth) & ~(impurity <= 1e-12)
+            )
+            if open_nodes.size:
+                if k >= d:
+                    candidates = np.tile(np.arange(d), (open_nodes.size, 1))
+                else:
+                    candidates = np.array([
+                        rngs[active[i]].choice(d, size=k, replace=False) for i in open_nodes
+                    ])
+                gains, feats, cuts = engine.best_splits(
+                    [nodes[i] for i in open_nodes], candidates
+                )
+                found = feats >= 0
+                split = open_nodes[found]
+                if split.size:
+                    left_sets, right_sets = _partition(
+                        X, [nodes[i] for i in split], feats[found], cuts[found]
+                    )
+                    # Both sides must keep min_samples_leaf rows (a midpoint
+                    # that rounds onto the right value moves those rows left).
+                    keep = np.array([
+                        len(a) >= leaf_min and len(b) >= leaf_min
+                        for a, b in zip(left_sets, right_sets)
+                    ])
+                    t = ids[split[keep]]
+                    f = feats[found][keep]
+                    importance[t, f] += gains[found][keep] * sizes[split[keep]] / n_total[t]
+                    feature[t], threshold[t] = f, cuts[found][keep]
+                    for i, left_rows, right_rows in zip(split[keep].tolist(),
+                                                        itertools.compress(left_sets, keep),
+                                                        itertools.compress(right_sets, keep)):
+                        stacks[active[i]].append((right_rows.copy(), depths[i] + 1, r))
+                        stacks[active[i]].append((left_rows, depths[i] + 1, _LEAF))
+            active = [t for t in active if stacks[t]]
+    finally:
+        engine.end_fit()
+    # Each field goes from rounds to trees on its own, its rounds freed as
+    # it is stacked, so the trees' arrays never sit beside a full copy.
+    sizes = n_nodes.tolist()
+    fitted: list[dict] = [{} for _ in trees]
+    for name, rounds in (
+        ("feature", features), ("threshold", thresholds), ("right", rights), ("value", values)
+    ):
+        table = np.stack(rounds)
+        rounds.clear()
+        for t, size in enumerate(sizes):
+            fitted[t][name] = table[:size, t].copy()
+    for t, (tree, arrays) in enumerate(zip(trees, fitted)):
+        arrays["left"] = np.where(arrays["feature"] != _LEAF, np.arange(1, sizes[t] + 1), _LEAF)
+        tree.tree_ = _Tree(**arrays)
+        total = importance[t].sum()
+        tree.feature_importances_ = importance[t] / total if total > 0 else np.zeros(d)
+
+
+def _partition(
+    X: np.ndarray, nodes: list[np.ndarray], features: np.ndarray, thresholds: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each node's rows with ``x <= threshold`` on its feature, and the
+    rest, both in the node's row order."""
+    sizes = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
+    rows = np.concatenate(nodes)
+    go_left = X[rows, np.repeat(features, sizes)] <= np.repeat(thresholds, sizes)
+    n_left = np.add.reduceat(go_left, np.cumsum(sizes) - sizes, dtype=np.intp)
+    lefts = rows[go_left]
+    # The mask is inverted in place: numpy keeps freed blocks under 1 KiB
+    # for reuse by size, so every temporary of a round's size stays resident.
+    rights = rows[np.logical_not(go_left, out=go_left)]
+    left_ends, right_ends = np.cumsum(n_left).tolist(), np.cumsum(sizes - n_left).tolist()
+    return (
+        [lefts[a:b] for a, b in zip([0] + left_ends[:-1], left_ends)],
+        [rights[a:b] for a, b in zip([0] + right_ends[:-1], right_ends)],
+    )
+
+
+def _node_stats(
+    nodes: list[np.ndarray], sizes: np.ndarray, y: np.ndarray, n_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf value rows and impurities of a round's nodes.
+
+    Class counts come from one segmented ``np.bincount``; the proportions
+    and the Gini sum take the same operations as one node's. Float means
+    and variances depend on summation order, so they stay per node, as the
+    reductions ``np.mean`` and ``np.var`` run.
+    """
+    if n_classes:
+        codes = y[np.concatenate(nodes)]
+        codes += np.repeat(np.arange(len(nodes)) * n_classes, sizes)
+        counts = np.bincount(codes, minlength=len(nodes) * n_classes).reshape(-1, n_classes)
+        m = sizes.astype(float)
+        return counts / m[:, None], _gini(counts.T[1:], m, n_classes)
+    value = np.empty((len(nodes), 1))
+    impurity = np.empty(len(nodes))
+    for i, node in enumerate(nodes):
+        # np.mean and np.var, written out: one pairwise sum over the node,
+        # divided by its size, then the same over squared deviations.
+        node_y = y[node]
+        n = len(node)
+        value[i, 0] = mean = np.add.reduce(node_y) / n
+        deviation = node_y - mean
+        impurity[i] = np.add.reduce(np.multiply(deviation, deviation, out=deviation)) / n
+    return value, impurity

@@ -4,12 +4,18 @@ The Novelty Estimator's frozen target network ψ⊥ is *orthogonally*
 initialized with a large gain (the paper uses 16.0, following the
 randomized-prior-functions recipe) so that unvisited sequences produce large,
 structured prediction errors.
+
+The orthogonal init's QR runs on the calling thread alone
+(:func:`repro.procs.one_blas_thread`): at ψ⊥'s (530, 32) shape OpenBLAS
+would wake its helper threads, which stalled the call next to busy
+processes and then spun. Its bytes are the same on one thread or two.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import procs
 from repro.nn.tensor import Tensor
 
 __all__ = ["orthogonal_", "xavier_uniform_", "normal_", "zeros_"]
@@ -22,7 +28,8 @@ def orthogonal_(tensor: Tensor, gain: float = 1.0, rng: np.random.Generator | No
     rng = rng or np.random.default_rng()
     rows, cols = tensor.data.shape
     flat = rng.normal(size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
+    with procs.one_blas_thread():
+        q, r = np.linalg.qr(flat)
     # Sign correction makes the distribution uniform over orthogonal matrices.
     q *= np.sign(np.diag(r))
     if rows < cols:

@@ -18,6 +18,12 @@ four decisions they share:
   to each worker once, through the executor's initializer (fork workers
   inherit them, spawn workers unpickle them once per worker), and only
   the per-task remainder travels with each task.
+- **BLAS threads** — :func:`one_blas_thread`: a block whose BLAS calls
+  must not wake OpenBLAS's helper threads runs on the calling thread
+  alone. ψ⊥'s orthogonal init uses it for its QR, the one call of a
+  search that OpenBLAS spreads over threads: helper threads woken next to
+  busy sibling processes stalled that QR for a quarter of a second and
+  then spun on the other core.
 
 Call sites reach these through the module (``procs.context()``), so a
 test that monkeypatches :func:`context` runs every pool under ``spawn``.
@@ -25,16 +31,18 @@ test that monkeypatches :func:`context` runs every pool under ``spawn``.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
 import os
 import pickle
 import warnings
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["context", "resolve_workers", "picklable", "pool", "worker_inputs"]
+__all__ = ["context", "resolve_workers", "picklable", "pool", "worker_inputs", "one_blas_thread"]
 
 
 def context() -> multiprocessing.context.BaseContext:
@@ -104,3 +112,48 @@ def pool(n_workers: int, inputs: Any = None) -> ProcessPoolExecutor:
         initializer=_receive,
         initargs=(inputs,),
     )
+
+
+@functools.cache
+def _blas_setter() -> Any:
+    """OpenBLAS's ``openblas_set_num_threads_local`` in the library a numpy
+    wheel bundles (``libscipy_openblas*``), or None where there is no such
+    library or symbol. Looked up on first use, not at import."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    base = os.path.dirname(numpy.__file__)
+    for path in sorted(
+        glob.glob(os.path.join(base + ".libs", "*openblas*"))
+        + glob.glob(os.path.join(base, ".dylibs", "*openblas*"))
+    ):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the calling thread's BLAS calls inside the block on one thread.
+
+    Sets OpenBLAS's thread-local thread count to 1 and restores the
+    previous value on exit, so other threads' BLAS calls are unaffected.
+    Where numpy's BLAS is not OpenBLAS or lacks the per-thread setting,
+    the block runs unchanged.
+    """
+    setter = _blas_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)

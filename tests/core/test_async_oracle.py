@@ -202,6 +202,26 @@ def _kill_running_worker_then_drain(flag: str):
         return oracle.drain()
 
 
+def _kill_running_worker_behind_a_full_pipe(flag: str):
+    """Three 400x60 tickets (187.5 KiB each) for one worker: while it runs
+    the first, the feeder thread fills the pipe with the second and blocks
+    on the third. Returns the outcomes and how many feeder threads of the
+    discarded queue are still alive after the drain."""
+    X, y = _problem(n=400, d=60)
+    matrices = [X * (i + 1) for i in range(3)]
+    oracle, (worker,) = _start_oracle(_StallFirstInWorker(flag), y, n_workers=1)
+    with oracle:
+        first = list(oracle._workers.values())
+        for m in matrices:
+            oracle.submit(m)
+        while not os.path.exists(flag):
+            time.sleep(0.01)
+        _kill(worker)
+        outcomes = oracle.drain()
+        feeders = [w.tasks._thread for w in first]
+        return outcomes, sum(1 for t in feeders if t is not None and t.is_alive())
+
+
 class TestSubmitDrain:
     def test_outcomes_in_submission_order_with_exact_scores(self):
         X, y = _problem()
@@ -344,6 +364,17 @@ class TestDeadWorkers:
         # The running ticket spends an attempt; the queued ones never started.
         assert [o.attempts for o in outcomes] == [2, 1, 1]
         assert all(o.ok for o in outcomes)
+
+    def test_dead_worker_leaves_no_feeder_thread_on_a_full_pipe(self, tmp_path):
+        X, y = _problem(n=400, d=60)
+        expected = [float(np.mean(X * (i + 1)) + np.mean(y)) for i in range(3)]
+        outcomes, alive_feeders = _in_own_session(
+            _kill_running_worker_behind_a_full_pipe, str(tmp_path / "flag")
+        )
+        assert [o.score for o in outcomes] == expected
+        assert [o.attempts for o in outcomes] == [2, 1, 1]
+        assert all(o.ok for o in outcomes)
+        assert alive_feeders == 0
 
 
 class TestSessionIntegration:

@@ -167,7 +167,9 @@ class TestEngineResolution:
         DecisionTreeRegressor(max_depth=3, seed=0).fit(X, X[:, 1])
         RandomForestClassifier(n_estimators=3, max_depth=3, seed=0).fit(X, y)
         GradientBoostingClassifier(n_estimators=2, max_depth=2, seed=0).fit(X, y)
-        assert len(calls) == 1 + 1 + 3 + 2
+        # A forest's trees grow together from one begin_fit; boosting fits
+        # its trees one after another.
+        assert len(calls) == 1 + 1 + 1 + 2
 
     def test_engine_reusable_across_sequential_fits(self):
         rng = np.random.default_rng(3)

@@ -1,13 +1,17 @@
 """Seed implementations kept as test oracles.
 
-Production (``src/repro``) carries one split engine, one feature store,
-one inner loop, one tree-descent kernel, one batched MI kernel, one
-operation guard, one plan executor and one LSTM unroll. The
+Production (``src/repro``) carries one split engine, one tree builder,
+one feature store, one inner loop, one tree-descent kernel, one batched
+MI kernel, one operation guard, one plan executor and one LSTM unroll. The
 implementations they replaced live here, unchanged in behaviour, so the
 bit-identity tests and the throughput benchmarks can compare production
 against them:
 
-- :mod:`tests.reference.split_engine`: the per-node-argsort split engine;
+- :mod:`tests.reference.split_engine`: the per-node-argsort split engine
+  and the per-node presort engine;
+- :mod:`tests.reference.tree`: the recursive CART builder and the
+  per-tree forest loop (on the per-node presort engine, the previous
+  oracle);
 - :mod:`tests.reference.sequence`: the dict-of-columns ``FeatureSpace``;
 - :mod:`tests.reference.session`: the seed inner loop as a
   ``SearchSession`` subclass;

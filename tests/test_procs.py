@@ -8,8 +8,12 @@ reference, byte for byte.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +184,64 @@ class TestSpawnMatchesSerial:
         assert spawn
         assert pooled == inline
         assert all(o.ok for o in pooled)
+
+
+# Runs one small search in a fresh interpreter and prints how long each
+# non-main thread ran during it. OpenBLAS's helper threads spin for a
+# while after the library loads, so the probe waits until they sleep.
+_SEARCH_THREAD_TIMES = """
+import json, os, time
+import numpy as np
+from repro import api
+
+def run_times():
+    main = str(os.getpid())
+    times = {}
+    for tid in os.listdir("/proc/self/task"):
+        if tid != main:
+            with open(f"/proc/self/task/{tid}/schedstat") as f:
+                times[tid] = int(f.read().split()[0])
+    return times
+
+before = run_times()
+for _ in range(50):
+    time.sleep(0.1)
+    now = run_times()
+    if now == before:
+        break
+    before = now
+rng = np.random.default_rng(0)
+X = rng.normal(size=(120, 5))
+y = (X[:, 0] + X[:, 1] > 0).astype(int)
+api.search(X, y, "classification", episodes=2, steps_per_episode=2,
+           cold_start_episodes=1, cv_splits=3, rf_estimators=3, seed=0)
+after = run_times()
+print(json.dumps({tid: after[tid] - before.get(tid, 0) for tid in after}))
+"""
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("shape", [(530, 32), (128, 32), (32, 1), (1000, 64)])
+    def test_qr_bytes_do_not_depend_on_the_limit(self, shape):
+        for seed in range(20):
+            flat = np.random.default_rng(seed).normal(size=shape)
+            q, r = np.linalg.qr(flat)
+            with procs.one_blas_thread():
+                q1, r1 = np.linalg.qr(flat)
+            assert q.tobytes() == q1.tobytes() and r.tobytes() == r1.tobytes()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+        reason="needs /proc task statistics and at least 2 CPUs",
+    )
+    def test_a_search_leaves_blas_helper_threads_asleep(self):
+        if procs._blas_setter() is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with per-thread limits")
+        env = {**os.environ, "PYTHONPATH": str(Path(procs.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEARCH_THREAD_TIMES],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        ran = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert ran and all(ns == 0 for ns in ran.values()), ran
