@@ -95,7 +95,6 @@ def _search_config(args: argparse.Namespace):
         component_epochs=args.component_epochs,
         cv_splits=args.cv,
         rf_estimators=args.rf_estimators,
-        cv_jobs=args.cv_jobs,
         oracle_mode=args.oracle_mode,
         reconcile_every_k=args.reconcile_every_k,
         oracle_workers=args.oracle_workers,
@@ -614,13 +613,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         help="trees in the downstream random forest (default: %(default)s)",
     )
     parser.add_argument("--cv", type=int, default=3)
-    parser.add_argument(
-        "--cv-jobs",
-        type=int,
-        default=1,
-        help="worker processes for fold-parallel cross-validation "
-        "(1 = serial, -1 = all cores; default: %(default)s)",
-    )
     parser.add_argument(
         "--oracle-mode",
         choices=["serial", "async"],

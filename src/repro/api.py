@@ -19,9 +19,8 @@
 Everything here is sugar over :class:`repro.core.session.SearchSession`;
 use the session directly for stepping, checkpoint/resume and custom
 callback wiring. Any :class:`~repro.core.config.FastFTConfig` field can be
-overridden by keyword — including the oracle knobs: fold-parallel
-cross-validation (``api.search(X, y, cv_jobs=-1)``) and the async
-oracle (``api.search(X, y, oracle_mode="async", oracle_workers=4,
+overridden by keyword — including the async oracle
+(``api.search(X, y, oracle_mode="async", oracle_workers=4,
 reconcile_every_k=4)``), which overlaps triggered downstream evaluations
 with the search loop: steps advance on predictor estimates while worker
 processes run the real CV, and scores land at schedule-pinned reconcile

@@ -232,8 +232,6 @@ class AsyncOracle:
             self._fingerprint = evaluator.fingerprint
             inner = evaluator.evaluator
         self._inner = inner
-        # Workers must not nest process pools: a fold-parallel evaluator
-        # is demoted to serial CV inside the pool (scores unchanged).
         self._worker_eval = inner.for_worker() if hasattr(inner, "for_worker") else inner
 
         n_workers = int(n_workers)

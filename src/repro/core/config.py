@@ -19,7 +19,7 @@ __all__ = ["FastFTConfig"]
 # Tuple-typed fields that JSON round-trips as lists.
 _TUPLE_FIELDS = ("predictor_head_dims", "novelty_head_dims")
 # Fields removed from the config; durable files that still carry them load.
-_REMOVED_FIELDS = ("inner_loop", "oracle_engine")
+_REMOVED_FIELDS = ("inner_loop", "oracle_engine", "cv_jobs")
 
 
 def _reject_unknown_fields(extra: set[str]) -> None:
@@ -96,8 +96,6 @@ class FastFTConfig:
     # inner loop runs on the columnar arena with incremental caches. The
     # seed implementations of both are test oracles in tests/reference/.
 
-    # Worker processes for fold-parallel CV (1 = serial, -1 = all cores).
-    cv_jobs: int = 1
     # Oracle scheduling: "serial" runs triggered evaluations inside the
     # step (the paper's timeline and the pinned GOLDEN_DIGESTS arm);
     # "async" defers them to an AsyncOracle pool while the search advances
@@ -159,8 +157,10 @@ class FastFTConfig:
             )
         if self.seq_model not in ("lstm", "rnn", "transformer"):
             raise ValueError("seq_model must be lstm, rnn or transformer")
-        if self.cv_jobs < 1 and self.cv_jobs != -1:
-            raise ValueError("cv_jobs must be >= 1 or -1 (all cores)")
+        if self.cv_splits < 2:
+            raise ValueError(f"cv_splits must be >= 2, got {self.cv_splits}")
+        if self.rf_estimators < 1:
+            raise ValueError(f"rf_estimators must be >= 1, got {self.rf_estimators}")
         if self.oracle_mode not in ("serial", "async"):
             raise ValueError("oracle_mode must be 'serial' or 'async'")
         if self.reconcile_every_k < 1:
@@ -198,11 +198,10 @@ class FastFTConfig:
     def from_jsonable(cls, payload: dict) -> "FastFTConfig":
         """Rebuild from :meth:`to_jsonable` output.
 
-        Fields since removed (``inner_loop``, ``oracle_engine``) are
-        dropped, so files written by older builds still load. Any other
-        unknown key raises a ``ValueError`` naming it: a file written by a
-        newer build must not run here with defaults in place of the fields
-        this build lacks.
+        Fields since removed (``_REMOVED_FIELDS``) are dropped, so files
+        written by older builds still load. Any other unknown key raises a
+        ``ValueError`` naming it: a file written by a newer build must not
+        run here with defaults in place of the fields this build lacks.
         The tuple-typed head-dims fields are converted back from lists.
         """
         known = {f.name for f in fields(cls)}

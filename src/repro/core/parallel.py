@@ -20,8 +20,8 @@ streams, same oracle), and numpy arithmetic does not depend on the process
 it runs in. :mod:`repro.procs` owns the process policy: the start method
 (``fork`` where available, else ``spawn``), the worker count, and the
 pickle probe — payloads that cannot be pickled demote the run to the
-serial path with a ``RuntimeWarning``, as ``cross_val_score(n_jobs=...)``
-does. The job arrays reach each worker once, at pool start-up.
+serial path with a ``RuntimeWarning``. The job arrays reach each worker
+once, at pool start-up.
 
 Each pooled job runs on its own oracle cache, seeded from the entries of
 the caller's ``cache=``, and returns the entries it added; the parent

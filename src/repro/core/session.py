@@ -81,8 +81,6 @@ class CheckpointCorruptError(ValueError):
 def make_default_evaluator(task: str, config: FastFTConfig) -> DownstreamEvaluator:
     """The paper-default downstream oracle a session builds when none is
     supplied — the single source of truth shared with :mod:`repro.api`.
-
-    ``config.cv_jobs`` turns on fold-parallel cross-validation.
     """
     return DownstreamEvaluator(
         task,
@@ -94,7 +92,6 @@ def make_default_evaluator(task: str, config: FastFTConfig) -> DownstreamEvaluat
         ),
         n_splits=config.cv_splits,
         seed=config.seed,
-        cv_jobs=config.cv_jobs,
     )
 
 

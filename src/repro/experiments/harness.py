@@ -52,7 +52,6 @@ def make_fastft_config(
         mi_max_rows=profile.mi_max_rows,
         cv_splits=profile.cv_splits,
         rf_estimators=profile.rf_estimators,
-        cv_jobs=profile.cv_jobs,
         oracle_mode=profile.oracle_mode,
         reconcile_every_k=profile.reconcile_every_k,
         oracle_workers=profile.oracle_workers,

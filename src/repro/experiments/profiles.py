@@ -24,7 +24,6 @@ class RunProfile:
     # downstream oracle
     cv_splits: int = 3
     rf_estimators: int = 6
-    cv_jobs: int = 1
     # async oracle arm (oracle_mode="async" overlays evaluation with search;
     # harnesses opt in per arm — the profile only carries the knobs)
     oracle_mode: str = "serial"

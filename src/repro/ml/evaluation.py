@@ -77,16 +77,8 @@ class DownstreamEvaluator:
         ``metric(y_true, y_pred_or_score) -> float``, higher is better.
     n_splits:
         CV folds (the paper uses 5; tests shrink this for speed).
-    cv_jobs:
-        Worker processes for fold-parallel CV (``1`` = serial, ``-1`` =
-        all cores). Scores are identical to serial; under parallelism
-        ``total_time`` reports *summed per-fold* fit+score seconds (not
-        pool wall time), so the Table II time breakdown stays meaningful.
     """
 
-    # Class-level backstop so evaluators pickled before this knob existed
-    # (old session checkpoints) resume with serial behavior.
-    cv_jobs = 1
     # Observability (repro.obs): attached by SearchSession.set_tracer;
     # process-local, dropped on pickling (the class attr is the fallback
     # every unpickled or worker copy sees).
@@ -99,20 +91,16 @@ class DownstreamEvaluator:
         metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
         n_splits: int = 5,
         seed: int | None = 0,
-        cv_jobs: int = 1,
     ) -> None:
         if task not in TASKS:
             raise ValueError(f"Unknown task {task!r}; expected one of {TASKS}")
         if n_splits < 2:
             raise ValueError("n_splits must be >= 2")
-        if cv_jobs < 1 and cv_jobs != -1:
-            raise ValueError("cv_jobs must be >= 1 or -1 (all cores)")
         self.task = task
         self.model = model if model is not None else default_model_for_task(task, seed=seed)
         self.metric = metric if metric is not None else default_metric_for_task(task)
         self.n_splits = n_splits
         self.seed = seed
-        self.cv_jobs = cv_jobs
         self.n_calls = 0
         self.total_time = 0.0
 
@@ -120,8 +108,7 @@ class DownstreamEvaluator:
         use_proba = self.task == "detection"
         stratified = self.task in ("classification", "detection")
         # The template goes in as-is: cross_val_score clones per fold and
-        # never fits it, and a stable template object lets the fold-parallel
-        # pickle probe memoize per evaluator instead of per call.
+        # never fits it.
         return cross_val_score(
             model,
             X,
@@ -131,7 +118,6 @@ class DownstreamEvaluator:
             seed=self.seed,
             stratified=stratified,
             use_proba=use_proba,
-            n_jobs=self.cv_jobs,
             return_fold_times=True,
         )
 
@@ -142,12 +128,7 @@ class DownstreamEvaluator:
         scores, fold_times = self._cross_val(self.model, X, y)
         self.n_calls += 1
         elapsed = time.perf_counter() - start
-        if self.cv_jobs != 1:
-            # Pool wall time under-reports the oracle's actual compute;
-            # the paper's cost accounting wants summed fit+score time.
-            self.total_time += float(sum(fold_times))
-        else:
-            self.total_time += elapsed
+        self.total_time += elapsed
         tracer = self.tracer
         if tracer is not None:
             labels = {"engine": PresortEngine.name, "task": self.task}
@@ -171,15 +152,12 @@ class DownstreamEvaluator:
     def for_worker(self) -> "DownstreamEvaluator":
         """A copy suitable for running *inside* a worker process.
 
-        Fold-parallel CV is demoted to serial (a nested pool inside an
-        :class:`~repro.core.async_oracle.AsyncOracle` worker would
-        oversubscribe the cores the outer pool already owns) and the
-        cost counters start fresh, so per-worker deltas are honest.
-        Scores are unchanged — ``cv_jobs`` never affects them.
+        The copy holds no tracer (tracers are process-local) and its cost
+        counters start fresh, so per-worker deltas are honest. Scores are
+        unchanged.
         """
         clone = copy.copy(self)
-        clone.cv_jobs = 1
-        clone.__dict__.pop("tracer", None)  # tracers are process-local
+        clone.__dict__.pop("tracer", None)
         clone.reset_counters()
         return clone
 
@@ -189,7 +167,7 @@ class DownstreamEvaluator:
 
     def __getstate__(self) -> dict:
         # A tracer holds an open file handle and locks — never serialized
-        # (session checkpoints, async-oracle worker blobs, CV payloads).
+        # (session checkpoints, async-oracle worker blobs).
         state = dict(self.__dict__)
         state.pop("tracer", None)
         return state

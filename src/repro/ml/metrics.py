@@ -184,14 +184,19 @@ def one_minus_mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def log_loss(y_true: np.ndarray, proba: np.ndarray, eps: float = 1e-12) -> float:
-    """Multiclass cross-entropy over predicted probabilities."""
+    """Multiclass cross-entropy over predicted probabilities.
+
+    Column ``i`` of ``proba`` is the ``i``-th of ``y_true``'s sorted classes.
+    """
     y_true = _as_1d(y_true)
     proba = np.asarray(proba, dtype=float)
     if proba.ndim == 1:
         proba = np.column_stack([1.0 - proba, proba])
-    labels = np.unique(y_true)
-    index = {c: i for i, c in enumerate(labels)}
-    rows = np.arange(len(y_true))
-    cols = np.array([index[c] for c in y_true])
-    picked = np.clip(proba[rows, cols], eps, 1.0)
+    labels, cols = np.unique(y_true, return_inverse=True)
+    if proba.shape[1] != len(labels):
+        raise ValueError(
+            f"proba has {proba.shape[1]} columns but y_true holds "
+            f"{len(labels)} class(es); cannot tell which column is which class"
+        )
+    picked = np.clip(proba[np.arange(len(y_true)), cols], eps, 1.0)
     return float(-np.mean(np.log(picked)))

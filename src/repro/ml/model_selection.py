@@ -2,28 +2,24 @@
 
 The paper evaluates every generated feature set with five-fold cross
 validation (train:test = 4:1); :func:`cross_val_score` is the exact routine
-the downstream oracle calls. Folds are independent fits, so
-``cross_val_score`` can optionally farm them out to a process pool
-(``n_jobs``) with deterministic result order — fold *i*'s score is the same
-value serial or parallel, because each fold's work is a pure function of
-the estimator template and the (seeded) splitter. On the serial path a
-random forest template fits one clone per fold through
-:func:`repro.ml.forest.fit_forests`, which grows every fold's trees in one
-lockstep; each fold is then predicted and scored on its own. Such a call
-never runs the clones' ``fit`` methods, so tracers that wrap
-``RandomForestClassifier.fit`` or ``DecisionTreeClassifier.fit`` see no
-calls from it.
+the downstream oracle calls. Each fold's score is a pure function of the
+estimator template and the (seeded) splitter. A random forest template
+fits one clone per fold through :func:`repro.ml.forest.fit_forests`, which
+grows every fold's trees in one lockstep; each fold is then predicted and
+scored on its own. Such a call never runs the clones' ``fit`` methods, so
+tracers that wrap ``RandomForestClassifier.fit`` or
+``DecisionTreeClassifier.fit`` see no calls from it. A call runs in one
+process; parallelism lives one level up, where the async oracle's workers
+run whole calls and the sweep pool and job fleet run whole searches.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from typing import Callable, Iterator
 
 import numpy as np
 
-from repro import procs
 from repro.ml.base import BaseEstimator, check_X_y, clone
 from repro.ml.forest import fit_forests, grows_together
 
@@ -130,36 +126,12 @@ def train_test_split(
     return out
 
 
-# Pickle-probe results memoized per estimator template (scorer identity
-# checked), so a search making thousands of oracle calls probes — and, on
-# an unpicklable payload, warns — once per evaluator, not once per call.
-_probe_cache: "weakref.WeakKeyDictionary[BaseEstimator, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _parallel_payload_ok(estimator: BaseEstimator, scorer: Callable) -> bool:
-    try:
-        ref, ok = _probe_cache[estimator]
-        if ref() is scorer:
-            return ok
-    except (KeyError, TypeError):
-        pass
-    ok = procs.picklable(
-        (estimator, scorer), "cross_val_score(n_jobs>1): the estimator or scorer"
-    )
-    try:
-        _probe_cache[estimator] = (weakref.ref(scorer), ok)
-    except TypeError:
-        pass  # non-weakrefable scorer: probe again next call
-    return ok
-
-
 def _fit_score_fold(inputs: tuple, fold: tuple) -> tuple[float, float]:
     """Fit and score one fold; returns (score, fit+score seconds).
 
-    A fold's clone fits alone here: on the fold-parallel path, and on the
-    serial path for estimators that do not grow together. ``inputs`` is
-    what every fold of one call shares: ``(estimator, X, y, scorer,
-    use_proba)``.
+    A fold's clone fits alone here when the estimator does not grow
+    together with the other folds' clones. ``inputs`` is what every fold
+    of one call shares: ``(estimator, X, y, scorer, use_proba)``.
     """
     estimator, X, y, scorer, use_proba = inputs
     train, test = fold
@@ -170,7 +142,7 @@ def _fit_score_fold(inputs: tuple, fold: tuple) -> tuple[float, float]:
 
 
 def _fit_score_folds(inputs: tuple, folds: list) -> list[tuple[float, float]]:
-    """The serial path: fit every fold's clone, then score fold by fold.
+    """Fit every fold's clone, then score fold by fold.
 
     Forests (:func:`~repro.ml.forest.grows_together`) grow all folds'
     trees in one lockstep, and each fold is charged an equal share of that
@@ -200,10 +172,6 @@ def _score_fold(inputs: tuple, model, test: np.ndarray, fit_seconds: float) -> t
     return float(score), fit_seconds + time.perf_counter() - start
 
 
-def _pooled_fold(fold: tuple) -> tuple[float, float]:
-    return _fit_score_fold(procs.worker_inputs(), fold)
-
-
 def cross_val_score(
     estimator: BaseEstimator,
     X: np.ndarray,
@@ -213,7 +181,6 @@ def cross_val_score(
     seed: int | None = 0,
     stratified: bool = False,
     use_proba: bool = False,
-    n_jobs: int = 1,
     return_fold_times: bool = False,
 ) -> "np.ndarray | tuple[np.ndarray, list[float]]":
     """Fit a clone per fold and score on the held-out fold.
@@ -225,18 +192,11 @@ def cross_val_score(
     use_proba:
         Score with the positive-class probability instead of hard labels
         (needed for AUC on detection tasks).
-    n_jobs:
-        Number of worker processes for fold-parallel execution (``-1`` =
-        all cores). Scores come back in fold order and are identical to a
-        serial run; estimators/scorers that cannot be pickled fall back
-        to the serial path with a warning.
     return_fold_times:
-        Also return each fold's fit+score wall seconds (measured inside
-        the worker), so callers can account oracle cost as summed compute
-        rather than pool wall time. When the serial path grows a forest's
-        folds together, a fold's time is its own scoring plus an equal
-        share of the joint fit, so the times sum to the call's cost but no
-        longer tell the folds' fits apart.
+        Also return each fold's fit+score wall seconds. When a forest's
+        folds grow together, a fold's time is its own scoring plus an
+        equal share of the joint fit, so the times sum to the call's cost
+        but do not tell the folds' fits apart.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -246,13 +206,7 @@ def cross_val_score(
         else KFold(n_splits, seed=seed).split(len(y))
     )
 
-    inputs = (estimator, X, y, scorer, use_proba)
-    n_workers = procs.resolve_workers(n_jobs, len(folds))
-    if n_workers > 1 and _parallel_payload_ok(estimator, scorer):
-        with procs.pool(n_workers, inputs) as pool:
-            results = list(pool.map(_pooled_fold, folds))
-    else:
-        results = _fit_score_folds(inputs, folds)
+    results = _fit_score_folds((estimator, X, y, scorer, use_proba), folds)
 
     scores = np.asarray([score for score, _ in results], dtype=float)
     if return_fold_times:

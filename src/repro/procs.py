@@ -1,11 +1,10 @@
 """One process policy for every worker pool in the package.
 
-Four places fan work out across processes: fold-parallel cross-validation
-(:func:`repro.ml.model_selection.cross_val_score`), multi-seed sweeps and
+Three places fan work out across processes: multi-seed sweeps and
 batches (:class:`repro.core.parallel.SearchOrchestrator`), the async
 oracle (:class:`repro.core.async_oracle.AsyncOracle`) and the job fleet
-(:class:`repro.jobs.supervisor.JobFleetSupervisor`). This module makes the
-four decisions they share:
+(:class:`repro.jobs.supervisor.JobFleetSupervisor`). This module makes
+the four decisions they share:
 
 - **start method** — :func:`context`: ``fork`` where the platform has it
   (workers inherit the parent's arrays, nothing is copied), else
@@ -103,7 +102,7 @@ def pool(n_workers: int, inputs: Any = None) -> ProcessPoolExecutor:
     """A process pool of ``n_workers`` whose workers each receive ``inputs``
     once, at start-up; task functions read them with :func:`worker_inputs`."""
     # Imported here: serving processes import this module through
-    # repro.ml but never start a pool.
+    # repro.core but never start a pool.
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(

@@ -110,6 +110,12 @@ class TestFastFTConfig:
             FastFTConfig(memory_size=0)
         with pytest.raises(ValueError):
             FastFTConfig(seq_model="gru")
+        for bad in (1, 0, -1):
+            with pytest.raises(ValueError, match="cv_splits must be >= 2"):
+                FastFTConfig(cv_splits=bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="rf_estimators must be >= 1"):
+                FastFTConfig(rf_estimators=bad)
 
     def test_resolved_max_features(self):
         cfg = FastFTConfig()

@@ -122,29 +122,31 @@ class TestConfigVariantRoundtrip:
 
 class TestRemovedSwitches:
     """Configs, result files and pickles written by builds that still had
-    the ``inner_loop`` and ``oracle_engine`` switches load without them."""
+    the ``inner_loop``, ``oracle_engine`` and ``cv_jobs`` switches load
+    without them."""
 
-    OLD_VALUES = [("arena", "presort"), ("naive", "naive")]
+    # The two inner-loop arms of a build that had all three switches, and
+    # a build that had only ``cv_jobs``.
+    OLD_FIELDS = [
+        dict(inner_loop="arena", oracle_engine="presort", cv_jobs=1),
+        dict(inner_loop="naive", oracle_engine="naive", cv_jobs=2),
+        dict(cv_jobs=-1),
+    ]
 
-    @pytest.mark.parametrize("inner_loop,oracle_engine", OLD_VALUES)
-    def test_config_from_jsonable(self, inner_loop, oracle_engine):
-        payload = dict(
-            FastFTConfig(seed=3).to_jsonable(),
-            inner_loop=inner_loop,
-            oracle_engine=oracle_engine,
-        )
+    @pytest.mark.parametrize("old", OLD_FIELDS)
+    def test_config_from_jsonable(self, old):
+        payload = dict(FastFTConfig(seed=3).to_jsonable(), **old)
         restored = FastFTConfig.from_jsonable(payload)
         assert restored == FastFTConfig(seed=3)
-        assert not hasattr(restored, "inner_loop")
-        assert not hasattr(restored, "oracle_engine")
+        assert not set(old) & set(vars(restored))
 
-    @pytest.mark.parametrize("inner_loop,oracle_engine", OLD_VALUES)
-    def test_result_load(self, run_result, tmp_path, inner_loop, oracle_engine):
+    @pytest.mark.parametrize("old", OLD_FIELDS)
+    def test_result_load(self, run_result, tmp_path, old):
         result, X = run_result
         path = tmp_path / "run.json"
         result.save(str(path))
         payload = json.loads(path.read_text())
-        payload["config"].update(inner_loop=inner_loop, oracle_engine=oracle_engine)
+        payload["config"].update(old)
         path.write_text(json.dumps(payload))
         restored = FastFTResult.load(str(path))
         assert restored.config == result.config
@@ -162,12 +164,13 @@ class TestRemovedSwitches:
         with pytest.raises(ValueError, match="future_knob"):
             FastFTResult.load(str(path))
 
-    def test_pickled_config_drops_removed_fields(self):
+    @pytest.mark.parametrize("old", OLD_FIELDS)
+    def test_pickled_config_drops_removed_fields(self, old):
         cfg = FastFTConfig(seed=5)
-        vars(cfg).update(inner_loop="naive", oracle_engine="naive")
+        vars(cfg).update(old)
         restored = pickle.loads(pickle.dumps(cfg))
         assert restored == FastFTConfig(seed=5)
-        assert not {"inner_loop", "oracle_engine"} & set(vars(restored))
+        assert not set(old) & set(vars(restored))
 
     def test_pickled_config_rejects_unknown_key(self):
         """A pickled config (session checkpoint, fleet result) with a field

@@ -53,8 +53,8 @@ def make_parent_format(session: SearchSession, layout: str) -> None:
     """Rewrite a live session's state into what an older build pickled.
 
     ``"arena"`` and ``"naive"`` are the two inner-loop arms of the build
-    that still had the ``inner_loop`` and ``oracle_engine`` switches; the
-    naive arm kept its columns in a dict and built no caches.
+    that still had the ``inner_loop``, ``oracle_engine`` and ``cv_jobs``
+    switches; the naive arm kept its columns in a dict and built no caches.
     ``"pre_arena"`` is a build from before the arena: dict columns, no
     arena flags or caches, no sample count or signature counts, and a
     plain list of novelty embeddings.
@@ -63,8 +63,9 @@ def make_parent_format(session: SearchSession, layout: str) -> None:
     vars(session.config).update(
         inner_loop="naive" if naive else "arena",
         oracle_engine="naive" if naive else "presort",
+        cv_jobs=2,
     )
-    vars(session._evaluator)["engine"] = session.config.oracle_engine
+    vars(session._evaluator).update(engine=session.config.oracle_engine, cv_jobs=2)
     session._evaluator.model.split_engine = session.config.oracle_engine
     space = session._space
     if not naive:
@@ -240,7 +241,7 @@ class TestCheckpointResume:
 
         resumed = SearchSession.resume(path)
         assert not {"_use_arena", "_incremental_clustering"} & set(vars(resumed))
-        assert not {"inner_loop", "oracle_engine"} & set(vars(resumed.config))
+        assert not {"inner_loop", "oracle_engine", "cv_jobs"} & set(vars(resumed.config))
         assert not {"_backend", "_columns"} & set(vars(resumed._space))
         assert resumed._state_cache is not None and resumed._clusterer is not None
         result = resumed.run()

@@ -45,16 +45,21 @@ class TestSpec:
         assert restored.config == cfg
 
     @pytest.mark.parametrize(
-        "inner_loop,oracle_engine", [("arena", "presort"), ("naive", "naive")]
+        "old",
+        [
+            dict(inner_loop="arena", oracle_engine="presort", cv_jobs=1),
+            dict(inner_loop="naive", oracle_engine="naive", cv_jobs=2),
+            dict(cv_jobs=-1),
+        ],
     )
-    def test_spec_with_removed_switches_loads(self, sweep, inner_loop, oracle_engine):
+    def test_spec_with_removed_switches_loads(self, sweep, old):
         """Sweep specs written by builds that still had these config
         switches load, minus the switches."""
         d, _, _, spec = sweep
         path = os.path.join(d, "spec.json")
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        payload["config"].update(inner_loop=inner_loop, oracle_engine=oracle_engine)
+        payload["config"].update(old)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         assert load_spec(d) == spec

@@ -187,3 +187,13 @@ class TestLogLoss:
 
     def test_1d_proba_treated_as_positive_class(self):
         assert log_loss([1, 0], np.array([0.9, 0.1])) < 0.2
+
+    def test_rejects_proba_columns_not_matching_y_true_classes(self):
+        """Without labels, column i can only be y_true's i-th class: a
+        single-class y_true cannot place a 1-D proba, and [0, 2] cannot
+        place three columns (the middle one would be taken for class 2)."""
+        with pytest.raises(ValueError, match="2 columns but y_true holds 1 class"):
+            log_loss([1, 1], [0.9, 0.9])
+        confident = np.array([[0.98, 0.01, 0.01], [0.01, 0.01, 0.98]])
+        with pytest.raises(ValueError, match="3 columns but y_true holds 2 class"):
+            log_loss([0, 2], confident)

@@ -221,18 +221,7 @@ class TestEngineResolution:
             )
 
 
-class TestFoldParallelCV:
-    def test_parallel_scores_identical_to_serial(self, binary_data):
-        X, y = binary_data
-        est = RandomForestClassifier(n_estimators=3, max_depth=4, seed=0)
-        serial = cross_val_score(
-            est, X, y, scorer=f1_score, n_splits=3, seed=0, stratified=True
-        )
-        parallel = cross_val_score(
-            est, X, y, scorer=f1_score, n_splits=3, seed=0, stratified=True, n_jobs=2
-        )
-        assert np.array_equal(serial, parallel)
-
+class TestFoldTimes:
     def test_return_fold_times(self, binary_data):
         X, y = binary_data
         est = RandomForestClassifier(n_estimators=2, max_depth=3, seed=0)
@@ -244,38 +233,6 @@ class TestFoldParallelCV:
         assert all(t > 0 for t in times)
         plain = cross_val_score(est, X, y, scorer=f1_score, n_splits=3, seed=0, stratified=True)
         assert np.array_equal(scores, plain)
-
-    def test_invalid_n_jobs(self, binary_data):
-        X, y = binary_data
-        est = RandomForestClassifier(n_estimators=2, seed=0)
-        with pytest.raises(ValueError, match="n_jobs"):
-            cross_val_score(est, X, y, scorer=f1_score, n_splits=2, n_jobs=0)
-
-    def test_unpicklable_scorer_falls_back_to_serial(self, binary_data):
-        X, y = binary_data
-        est = RandomForestClassifier(n_estimators=2, max_depth=3, seed=0)
-        serial = cross_val_score(est, X, y, scorer=f1_score, n_splits=2, seed=0)
-        with pytest.warns(RuntimeWarning, match="picklable"):
-            fallback = cross_val_score(
-                est, X, y, scorer=lambda yt, yp: f1_score(yt, yp), n_splits=2,
-                seed=0, n_jobs=2,
-            )
-        assert np.array_equal(serial, fallback)
-
-    def test_evaluator_parallel_score_and_accounting(self, binary_data):
-        X, y = binary_data
-        serial = DownstreamEvaluator("classification", n_splits=3, seed=0)
-        parallel = DownstreamEvaluator("classification", n_splits=3, seed=0, cv_jobs=2)
-        assert serial(X, y) == parallel(X, y)
-        assert parallel.n_calls == 1
-        # Summed per-fold fit+score time, not pool wall time: must be
-        # positive and of the same order as the serial wall measurement.
-        assert parallel.total_time > 0
-        assert parallel.total_time > 0.25 * serial.total_time
-
-    def test_evaluator_rejects_bad_cv_jobs(self):
-        with pytest.raises(ValueError, match="cv_jobs"):
-            DownstreamEvaluator("classification", cv_jobs=0)
 
 
 class TestEngineInterface:

@@ -2,14 +2,42 @@
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.core.sequence import TransformationPlan
 from repro.experiments.run_all import EXPERIMENTS, run_experiments
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The arguments of every ``python -m repro`` line in the README's
+    ``bash`` blocks, with ``\\`` continuations joined and ``#`` comments
+    dropped."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:3] == ["python", "-m", "repro"]:
+                commands.append(words[3:])
+    return commands
+
 
 class TestParser:
+    def test_readme_finds_commands(self):
+        assert readme_cli_commands()
+
+    @pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+    def test_readme_command_parses(self, argv):
+        """A flag that is removed but still documented fails here."""
+        build_parser().parse_args(argv)
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

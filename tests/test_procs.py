@@ -23,7 +23,6 @@ from repro.core import FastFTConfig, HistoryCollector
 from repro.core.async_oracle import AsyncOracle
 from repro.core.session import make_default_evaluator
 from repro.jobs import JobFleetSupervisor
-from repro.ml import RandomForestClassifier, cross_val_score, f1_score
 
 TINY = dict(
     episodes=2,
@@ -96,9 +95,7 @@ class TestResolveWorkers:
             procs.resolve_workers(bad, 4, name="n_workers")
 
     def test_every_pool_validates_through_it(self, problem):
-        X, y = problem
-        with pytest.raises(ValueError, match="n_jobs must be"):
-            cross_val_score(RandomForestClassifier(), X, y, scorer=f1_score, n_jobs=-2)
+        _, y = problem
         with pytest.raises(ValueError, match="n_jobs must be"):
             api.SearchOrchestrator(-2)
         with pytest.raises(ValueError, match="n_workers must be"):
@@ -137,16 +134,6 @@ class TestPool:
 
 
 class TestSpawnMatchesSerial:
-    def test_cross_val_score(self, problem, spawn):
-        X, y = problem
-        est = RandomForestClassifier(n_estimators=3, max_depth=4, seed=0)
-        serial = cross_val_score(est, X, y, scorer=f1_score, n_splits=3, stratified=True)
-        pooled = cross_val_score(
-            est, X, y, scorer=f1_score, n_splits=3, stratified=True, n_jobs=2
-        )
-        assert spawn
-        assert pooled.tobytes() == serial.tobytes()
-
     def test_sweep(self, problem, spawn):
         X, y = problem
         serial = api.sweep(X, y, "classification", seeds=[0, 1], n_jobs=1, **TINY)
