@@ -14,7 +14,9 @@ triggered candidate feature set. Two benchmarks time
   all folds' trees of a call in lockstep, against the previous oracle
   (the recursive builder and per-tree forest loop on the per-node presort
   engine), on the ROADMAP baseline's three calls and on ``sweep_pool``'s
-  call. The baseline calls report their ratio without a floor.
+  call. The baseline calls report their ratio without a floor. Each call
+  also reports its builder rounds (split-engine calls) and candidate
+  draws (``rng.choice`` calls), counted on one more, untimed call.
 
 Timing notes: wall-time ratios, contention-sensitive
 (``@pytest.mark.serial``). The arms run in ``ROUNDS`` interleaved rounds
@@ -30,6 +32,7 @@ because this box shares cores with the rest of the suite.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ import pytest
 from repro.data.registry import load_dataset
 from repro.ml.evaluation import DownstreamEvaluator
 from repro.ml.forest import RandomForestClassifier
+from repro.ml.split_engine import PresortEngine
 from tests.reference.split_engine import NaiveEngine
 from tests.reference.tree import ReferenceRandomForestClassifier, ReferenceRandomForestRegressor
 
@@ -99,6 +103,33 @@ def _paired_rounds(arms: dict, X, y):
             seconds[name].append(time.perf_counter() - start)
             scores[name].append(score)
     return seconds, scores
+
+
+def _builder_counts(evaluator: DownstreamEvaluator, X, y) -> tuple[int, int]:
+    """Builder rounds (``best_splits`` calls) and candidate draws
+    (``rng.choice`` calls) of one more, untimed call of ``evaluator``."""
+    counts = {"rounds": 0, "draws": 0}
+    best_splits, default_rng = PresortEngine.best_splits, np.random.default_rng
+
+    def counted_best_splits(engine, rows, candidates):
+        counts["rounds"] += 1
+        return best_splits(engine, rows, candidates)
+
+    class CountingGenerator:
+        def __init__(self, seed=None) -> None:
+            self._rng = default_rng(seed)
+
+        def choice(self, *args, **kwargs):
+            counts["draws"] += 1
+            return self._rng.choice(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    with mock.patch.object(PresortEngine, "best_splits", counted_best_splits), \
+            mock.patch.object(np.random, "default_rng", CountingGenerator):
+        evaluator.evaluate(X, y)
+    return counts["rounds"], counts["draws"]
 
 
 def _engine_evaluator(engine: str, n_estimators: int, n_splits: int) -> DownstreamEvaluator:
@@ -168,7 +199,8 @@ def test_lockstep_builder_throughput(save_report):
         "(recursive builder, per-node presort engine) vs lockstep builder",
         f"10-tree forests, median of {ROUNDS} interleaved rounds (arm order alternates)",
         f"{'call':20s} {'matrix':>10s} {'folds':>5s} {'previous':>9s} {'lockstep':>9s} "
-        f"{'ratio':>6s} {'quartiles':>13s}  identical  rounds",
+        f"{'ratio':>6s} {'quartiles':>13s}  identical  {'rounds':>6s} {'draws':>5s}  "
+        "paired ratios",
     ]
     outcomes = []
     for label, dataset, scale, columns, folds, floor in BUILDER_CALLS:
@@ -185,6 +217,7 @@ def test_lockstep_builder_throughput(save_report):
         }
         seconds, scores = _paired_rounds(arms, X, data.y)
         identical = scores["previous"] == scores["lockstep"] and len(set(scores["lockstep"])) == 1
+        rounds, draws = _builder_counts(arms["lockstep"], X, data.y)
         ratios = np.array(seconds["previous"]) / np.array(seconds["lockstep"])
         q1, median, q3 = np.percentile(ratios, [25, 50, 75])
         outcomes.append((label, identical, median, q1, q3, floor))
@@ -192,9 +225,13 @@ def test_lockstep_builder_throughput(save_report):
             f"{label:20s} {X.shape[0]:>5d}x{X.shape[1]:<4d} {folds:>5d} "
             f"{float(np.median(seconds['previous'])):9.3f} "
             f"{float(np.median(seconds['lockstep'])):9.3f} {median:5.2f}x "
-            f"{q1:5.2f}x–{q3:.2f}x  {str(identical):9s}  "
+            f"{q1:5.2f}x–{q3:.2f}x  {str(identical):9s}  {rounds:6d} {draws:5d}  "
             + ", ".join(f"{r:.2f}x" for r in ratios)
         )
+    lines.append(
+        "rounds, draws: the lockstep call's builder rounds (split-engine calls) and "
+        "candidate draws (rng.choice calls)"
+    )
     lines.append(
         "floor: "
         + ", ".join(f"{label} {floor}x" for label, *_, floor in outcomes if floor is not None)

@@ -13,6 +13,9 @@ profiles (fewer episodes/steps, smaller forests) via keyword overrides.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
+
+from repro.rl.dqn import LEARNERS
 
 __all__ = ["FastFTConfig"]
 
@@ -157,6 +160,23 @@ class FastFTConfig:
             )
         if self.seq_model not in ("lstm", "rnn", "transformer"):
             raise ValueError("seq_model must be lstm, rnn or transformer")
+        for name in ("hidden_dim", "encoder_layers", "agent_hidden", "mi_max_rows",
+                     "feature_slots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("component_lr", "agent_lr"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not isinstance(self.rl_framework, str) or self.rl_framework.lower() not in LEARNERS:
+            raise ValueError(
+                f"rl_framework must be one of {', '.join(LEARNERS)}, got {self.rl_framework!r}"
+            )
+        if self.cluster_threshold != "auto" and not isinstance(self.cluster_threshold, Real):
+            raise ValueError(
+                f"cluster_threshold must be 'auto' or a number, got {self.cluster_threshold!r}"
+            )
+        if self.mi_bins < 2:
+            raise ValueError(f"mi_bins must be >= 2, got {self.mi_bins}")
         if self.cv_splits < 2:
             raise ValueError(f"cv_splits must be >= 2, got {self.cv_splits}")
         if self.rf_estimators < 1:

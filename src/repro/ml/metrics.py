@@ -86,8 +86,11 @@ def _binary_or_averaged(
     if average == "binary":
         if len(labels) > 2:
             raise ValueError("average='binary' requires a binary target")
-        # Positive class is the largest label value (1 in {0,1}).
-        return float(per_class[-1])
+        # The positive label is 1 for 0/1 labels, else the largest label;
+        # every score is 0 when it occurs in neither array.
+        present = labels.tolist()
+        positive = 1 if set(present) <= {0, 1} else present[-1]
+        return float(per_class[present.index(positive)]) if positive in present else 0.0
     if average == "micro":
         tp_s, fp_s, fn_s = tp.sum(), fp.sum(), fn.sum()
         p = tp_s / (tp_s + fp_s) if tp_s + fp_s > 0 else 0.0

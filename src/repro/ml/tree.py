@@ -7,15 +7,20 @@ is built on top of this module. The split search is an exact, sort-based scan
 :class:`~repro.ml.split_engine.SplitEngine`.
 
 One iterative builder, :func:`_grow`, fits every tree. It grows a list of
-trees together: each round pops one node from every unfinished tree's own
-pre-order stack, takes the class counts of all popped nodes from one
-segmented ``np.bincount`` (a regression node's mean and variance stay per
-node), draws each splittable node's candidate features from its tree's own
-seed, and asks the engine for all their splits in one call. Within a tree,
-node ids, candidate draws and importance adds follow the order of a
-recursive pre-order build, so the trees are the ones that build grew, bit
-for bit. A tree reads its rows of one shared matrix through its sample
-(a bootstrap's draws, a fold's training rows), so no tree copies ``X``.
+trees together, one *open* node (one that may split) of every unfinished
+tree per round. A node's statistics are taken when the split that creates
+it runs, the class counts of all a round's children from one segmented
+``np.bincount`` (a regression node's mean and variance stay per node), so
+each child is known open or closed when it is pushed. A round pops every
+tree's own pre-order stack through its closed nodes, numbering each as it
+passes, to its next open node, draws that node's candidate features and
+asks the engine for all the round's splits in one call: a call takes as
+many rounds as its tree with the most open nodes. Trees with one seed
+share one sequence of candidate draws. Within a tree, node ids, candidate
+draws and importance adds follow the order of a recursive pre-order
+build, so the trees are the ones that build grew, bit for bit. A tree
+reads its rows of one shared matrix through its sample (a bootstrap's
+draws, a fold's training rows), so no tree copies ``X``.
 :func:`fit_trees` fits a single tree, a forest's trees
 (:mod:`repro.ml.forest`) and, for cross-validation, every fold's trees of
 an oracle call in one lockstep, on any engine: one that searches a node
@@ -263,16 +268,21 @@ def _grow(
     n_classes: int,
     engine: SplitEngine,
 ) -> None:
-    """The CART builder: grow ``trees`` together, one node of each per round.
+    """The CART builder: grow ``trees`` together, one open node of each per round.
 
     Tree ``t`` reads rows ``rows[t]`` of ``X``. ``y`` holds every row's
     class code below ``n_classes``, or its target when ``n_classes`` is 0.
-    Each tree keeps its own pre-order stack and each round
-    pops one node from every unfinished one, so within a tree node ids,
-    candidate draws (from the tree's own seed) and importance adds follow
-    the order of a recursive build; node ``r`` of every tree is popped in
-    round ``r``, and a split's left child is node ``r + 1``. The engine
-    scores every splittable node of a round in one call.
+    A node is *open* when it may split: at least ``min_split`` rows, above
+    ``max_depth`` and impure. Its statistics, and so its openness, are
+    computed when the split that creates it runs, and only open nodes keep
+    their rows. Each tree keeps its own pre-order stack, and each round
+    pops every unfinished one through its closed nodes, numbering each as
+    it passes, to its next open node; the engine scores those nodes in one
+    call. So within a tree node ids, candidate draws and importance adds
+    follow the order of a recursive build, a split's left child is the
+    next node, and a call takes as many rounds as its tree with the most
+    open nodes. Per-node fields are kept in creation order and gathered
+    into each tree's pre-order arrays at the end.
     """
     first = trees[0]
     n_trees, d = len(trees), X.shape[1]
@@ -280,95 +290,169 @@ def _grow(
     min_split = max(first.min_samples_split, 2 * first.min_samples_leaf)
     max_depth = np.inf if first.max_depth is None else first.max_depth
     leaf_min = first.min_samples_leaf
-    rngs = [np.random.default_rng(tree.seed) for tree in trees]
+    draws = _CandidateDraws([tree.seed for tree in trees], d, k)
     n_total = np.array([len(r) for r in rows], dtype=float)
-    stacks = [[(r, 0, _LEAF)] for r in rows]
     importance = np.zeros((n_trees, d))
-    n_nodes = np.zeros(n_trees, dtype=np.int64)
-    # Per round, every tree's entry for its node of that round: feature,
-    # threshold, right child and value row (a split's left child is the
-    # next node).
-    features: list[np.ndarray] = []
-    thresholds: list[np.ndarray] = []
-    rights: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    active = list(range(n_trees))
+
+    def opened(nodes: list[np.ndarray], depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sizes = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
+        value, impurity = _node_stats(nodes, sizes, y, n_classes)
+        return value, (sizes >= min_split) & (depth < max_depth) & ~(impurity <= 1e-12)
+
+    # The call's nodes are numbered in creation order: the roots are nodes
+    # 0 to n_trees - 1, and the i-th split of the call creates nodes
+    # n_trees + 2i (left) and n_trees + 2i + 1 (right). ``values`` holds
+    # their value rows, ``splits`` each round's (parent, tree, feature,
+    # threshold) and ``pops`` the order they were popped in. A stack entry
+    # is (node, rows of an open node or None, depth).
+    value, is_open = opened(list(rows), np.zeros(n_trees))
+    values = [value]
+    stacks = [[(t, rows[t] if is_open[t] else None, 0)] for t in range(n_trees)]
+    n_created = n_trees
+    pops: list[np.ndarray] = []
+    splits: list[tuple[np.ndarray, ...]] = []
+    active = range(n_trees)
     engine.begin_fit(
         X, y, criterion=first._criterion, n_classes=n_classes, min_samples_leaf=leaf_min
     )
     try:
-        while active:
-            r = len(features)
-            popped = [stacks[t].pop() for t in active]
-            ids = np.array(active)
-            n_nodes[ids] += 1
-            nodes = [node for node, _, _ in popped]
+        while True:
+            popped, owner, nodes, depths, ids = [], [], [], [], []
+            for t in active:
+                stack = stacks[t]
+                while stack:
+                    c, node, depth = stack.pop()
+                    popped.append(c)
+                    if node is not None:
+                        owner.append(t)
+                        nodes.append(node)
+                        depths.append(depth)
+                        ids.append(c)
+                        break
+            pops.append(np.array(popped, dtype=np.int64))
+            if not nodes:
+                break
+            active = owner
+            owner = np.array(owner)
             sizes = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
-            value, impurity = _node_stats(nodes, sizes, y, n_classes)
-            feature = np.full(n_trees, _LEAF, dtype=np.int64)
-            threshold = np.zeros(n_trees)
-            features.append(feature)
-            thresholds.append(threshold)
-            rights.append(np.full(n_trees, _LEAF, dtype=np.int64))
-            values.append(np.zeros((n_trees, value.shape[1])))
-            values[r][ids] = value
-            depths = [depth for _, depth, _ in popped]
-            for t, (_, _, parent) in zip(active, popped):
-                if parent != _LEAF:
-                    rights[parent][t] = r
-            open_nodes = np.flatnonzero(
-                (sizes >= min_split) & (np.array(depths) < max_depth) & ~(impurity <= 1e-12)
+            gains, feats, cuts = engine.best_splits(nodes, draws.next(active))
+            split = np.flatnonzero(feats >= 0)
+            if not split.size:
+                continue
+            left_sets, right_sets = _partition(
+                X, [nodes[i] for i in split], feats[split], cuts[split]
             )
-            if open_nodes.size:
-                if k >= d:
-                    candidates = np.tile(np.arange(d), (open_nodes.size, 1))
-                else:
-                    candidates = np.array([
-                        rngs[active[i]].choice(d, size=k, replace=False) for i in open_nodes
-                    ])
-                gains, feats, cuts = engine.best_splits(
-                    [nodes[i] for i in open_nodes], candidates
-                )
-                found = feats >= 0
-                split = open_nodes[found]
-                if split.size:
-                    left_sets, right_sets = _partition(
-                        X, [nodes[i] for i in split], feats[found], cuts[found]
-                    )
-                    # Both sides must keep min_samples_leaf rows (a midpoint
-                    # that rounds onto the right value moves those rows left).
-                    keep = np.array([
-                        len(a) >= leaf_min and len(b) >= leaf_min
-                        for a, b in zip(left_sets, right_sets)
-                    ])
-                    t = ids[split[keep]]
-                    f = feats[found][keep]
-                    importance[t, f] += gains[found][keep] * sizes[split[keep]] / n_total[t]
-                    feature[t], threshold[t] = f, cuts[found][keep]
-                    for i, left_rows, right_rows in zip(split[keep].tolist(),
-                                                        itertools.compress(left_sets, keep),
-                                                        itertools.compress(right_sets, keep)):
-                        stacks[active[i]].append((right_rows.copy(), depths[i] + 1, r))
-                        stacks[active[i]].append((left_rows, depths[i] + 1, _LEAF))
-            active = [t for t in active if stacks[t]]
+            # Both sides must keep min_samples_leaf rows (a midpoint that
+            # rounds onto the right value moves those rows left).
+            n_left = np.fromiter(map(len, left_sets), dtype=np.int64, count=split.size)
+            keep = (n_left >= leaf_min) & (sizes[split] - n_left >= leaf_min)
+            split = split[keep]
+            if not split.size:
+                continue
+            t, f = owner[split], feats[split]
+            importance[t, f] += gains[split] * sizes[split] / n_total[t]
+            # Children in creation order: each split's left, then its right.
+            children = [
+                child
+                for pair in zip(itertools.compress(left_sets, keep),
+                                itertools.compress(right_sets, keep))
+                for child in pair
+            ]
+            depth = np.repeat(np.array(depths)[split] + 1, 2)
+            value, is_open = opened(children, depth)
+            splits.append((np.array(ids)[split], t, f, cuts[split]))
+            values.append(value)
+            lefts = range(n_created, n_created + 2 * split.size, 2)
+            n_created += 2 * split.size
+            for tree, c, child_depth, left, right, left_open, right_open in zip(
+                t.tolist(), lefts, depth[::2].tolist(),
+                children[::2], children[1::2], is_open[::2].tolist(), is_open[1::2].tolist(),
+            ):
+                stack = stacks[tree]
+                # A right child waits while its sibling's subtree grows; a
+                # copy lets the round's partition buffer go meanwhile.
+                stack.append((c + 1, right.copy() if right_open else None, child_depth))
+                stack.append((c, left if left_open else None, child_depth))
     finally:
         engine.end_fit()
-    # Each field goes from rounds to trees on its own, its rounds freed as
-    # it is stacked, so the trees' arrays never sit beside a full copy.
-    sizes = n_nodes.tolist()
-    fitted: list[dict] = [{} for _ in trees]
-    for name, rounds in (
-        ("feature", features), ("threshold", thresholds), ("right", rights), ("value", values)
-    ):
-        table = np.stack(rounds)
-        rounds.clear()
-        for t, size in enumerate(sizes):
-            fitted[t][name] = table[:size, t].copy()
-    for t, (tree, arrays) in enumerate(zip(trees, fitted)):
-        arrays["left"] = np.where(arrays["feature"] != _LEAF, np.arange(1, sizes[t] + 1), _LEAF)
-        tree.tree_ = _Tree(**arrays)
+    parent, split_tree, split_feature, cut = (
+        map(np.concatenate, zip(*splits)) if splits else np.zeros((4, 0), dtype=np.int64)
+    )
+    node_tree = np.concatenate([np.arange(n_trees), np.repeat(split_tree, 2)])
+    # Every node is popped once, in its tree's pre-order: a stable sort of
+    # the pops by tree lists each tree's nodes by id.
+    order = np.concatenate(pops)
+    preorder = order[np.argsort(node_tree[order], kind="stable")]
+    n_nodes = np.bincount(node_tree, minlength=n_trees)
+    starts = np.cumsum(n_nodes) - n_nodes
+    node_id = np.empty(n_created, dtype=np.int64)
+    node_id[preorder] = np.arange(n_created) - np.repeat(starts, n_nodes)
+    feature = np.full(n_created, _LEAF, dtype=np.int64)
+    threshold = np.zeros(n_created)
+    right = np.full(n_created, _LEAF, dtype=np.int64)
+    feature[parent], threshold[parent] = split_feature, cut
+    right[parent] = node_id[n_trees + 1 + 2 * np.arange(len(parent))]
+    value = np.concatenate(values)
+    values.clear()
+    for t, (tree, start, size) in enumerate(zip(trees, starts.tolist(), n_nodes.tolist())):
+        nodes = preorder[start : start + size]
+        tree.tree_ = _Tree(
+            feature=feature[nodes],
+            threshold=threshold[nodes],
+            left=np.where(feature[nodes] != _LEAF, np.arange(1, size + 1), _LEAF),
+            right=right[nodes],
+            value=value[nodes],
+        )
         total = importance[t].sum()
         tree.feature_importances_ = importance[t] / total if total > 0 else np.zeros(d)
+
+
+class _CandidateDraws:
+    """Every tree's candidate features, one row per open node.
+
+    A tree draws ``k`` of ``d`` features per open node from a generator
+    seeded with its seed, so its draws are a pure function of (seed, d,
+    k). Trees with one integer seed (the folds' clones of a forest take
+    their trees' seeds from one template seed) share one sequence: it is
+    drawn lazily, once, as far as its furthest tree has read, and each
+    tree reads its own prefix. The sequences are the rows of one
+    ``(sequences, draws, k)`` int array.
+    """
+
+    def __init__(self, seeds: list, d: int, k: int) -> None:
+        self.d, self.k = d, k
+        # A seed that is not an integer (None, a Generator) gets its own
+        # sequence, as each tree had its own generator.
+        self.rngs: list[np.random.Generator] = []
+        keys: dict = {}
+        sequence = []
+        for seed in seeds:
+            key = int(seed) if isinstance(seed, (int, np.integer)) else object()
+            if key not in keys:
+                keys[key] = len(self.rngs)
+                self.rngs.append(np.random.default_rng(seed))
+            sequence.append(keys[key])
+        self.sequence = np.array(sequence)
+        self.taken = np.zeros(len(seeds), dtype=np.int64)
+        self.n_drawn = [0] * len(self.rngs)
+        self.drawn = np.empty((len(self.rngs), 8, k), dtype=np.int64)
+
+    def next(self, trees: list[int]) -> np.ndarray:
+        """The next draw of each of ``trees`` (distinct), one row per tree."""
+        if self.k >= self.d:
+            return np.tile(np.arange(self.d), (len(trees), 1))
+        sequence = self.sequence[trees]
+        at = self.taken[trees]
+        self.taken[trees] += 1
+        if at.max() == self.drawn.shape[1]:
+            self.drawn = np.concatenate([self.drawn, np.empty_like(self.drawn)], axis=1)
+        # A sequence's trees read at most one draw past it per round, so
+        # only its furthest trees can find it short; the first draws.
+        for s, j in zip(sequence.tolist(), at.tolist()):
+            if j == self.n_drawn[s]:
+                self.drawn[s, j] = self.rngs[s].choice(self.d, size=self.k, replace=False)
+                self.n_drawn[s] = j + 1
+        return self.drawn[sequence, at]
 
 
 def _partition(
@@ -394,7 +478,7 @@ def _partition(
 def _node_stats(
     nodes: list[np.ndarray], sizes: np.ndarray, y: np.ndarray, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf value rows and impurities of a round's nodes.
+    """Value rows and impurities of ``nodes`` (a round's new nodes).
 
     Class counts come from one segmented ``np.bincount``; the proportions
     and the Gini sum take the same operations as one node's. Float means

@@ -20,9 +20,21 @@ from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.rl.replay import Transition
 
-__all__ = ["DQNLearner", "make_learner", "DQN_VARIANTS"]
+__all__ = ["DQNLearner", "make_learner", "DQN_VARIANTS", "LEARNERS"]
 
 DQN_VARIANTS = ("dqn", "double_dqn", "dueling_dqn", "dueling_double_dqn")
+# Every name make_learner accepts (in any case): actor-critic (None) or
+# the DQNLearner options of a variant.
+LEARNERS: dict[str, dict | None] = {
+    "actor_critic": None,
+    "ac": None,
+    "dqn": {},
+    "double_dqn": {"double": True},
+    "ddqn": {"double": True},
+    "dueling_dqn": {"dueling": True},
+    "dueling_double_dqn": {"double": True, "dueling": True},
+    "dueling_ddqn": {"double": True, "dueling": True},
+}
 
 
 class _QNetwork:
@@ -200,20 +212,14 @@ def make_learner(
     seed: int | None = 0,
     **kwargs,
 ):
-    """Factory over the five frameworks compared in Fig 7."""
-    kind = kind.lower()
-    if kind in ("actor_critic", "ac"):
+    """Factory over the five frameworks compared in Fig 7 (``LEARNERS``)."""
+    if kind.lower() not in LEARNERS:
+        raise ValueError(
+            f"Unknown learner {kind!r}; expected actor_critic or one of {DQN_VARIANTS}"
+        )
+    options = LEARNERS[kind.lower()]
+    if options is None:
         from repro.rl.actor_critic import ActorCriticLearner
 
         return ActorCriticLearner(state_dim, candidate_dim, seed=seed, **kwargs)
-    if kind == "dqn":
-        return DQNLearner(state_dim, candidate_dim, seed=seed, **kwargs)
-    if kind in ("double_dqn", "ddqn"):
-        return DQNLearner(state_dim, candidate_dim, double=True, seed=seed, **kwargs)
-    if kind == "dueling_dqn":
-        return DQNLearner(state_dim, candidate_dim, dueling=True, seed=seed, **kwargs)
-    if kind in ("dueling_double_dqn", "dueling_ddqn"):
-        return DQNLearner(state_dim, candidate_dim, double=True, dueling=True, seed=seed, **kwargs)
-    raise ValueError(
-        f"Unknown learner {kind!r}; expected actor_critic or one of {DQN_VARIANTS}"
-    )
+    return DQNLearner(state_dim, candidate_dim, seed=seed, **options, **kwargs)

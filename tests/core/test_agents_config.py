@@ -9,6 +9,7 @@ from repro.core.agents import CascadingAgents
 from repro.core.config import FastFTConfig
 from repro.core.operations import OPERATIONS
 from repro.core.state import STATE_DIM
+from repro.rl.dqn import LEARNERS
 
 
 @pytest.fixture
@@ -116,6 +117,27 @@ class TestFastFTConfig:
         for bad in (0, -1):
             with pytest.raises(ValueError, match="rf_estimators must be >= 1"):
                 FastFTConfig(rf_estimators=bad)
+        # Values that used to pass here and fail only inside a search.
+        for field, bad in (
+            ("mi_bins", 1),
+            ("hidden_dim", 0),
+            ("agent_hidden", 0),
+            ("mi_max_rows", 0),
+            ("feature_slots", 0),
+            ("encoder_layers", 0),
+            ("component_lr", -1),
+            ("component_lr", 0),
+            ("agent_lr", -1),
+            ("rl_framework", "bogus"),
+            ("cluster_threshold", "bogus"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                FastFTConfig(**{field: bad})
+        # The smallest values that search, and every learner name make_learner takes.
+        FastFTConfig(mi_bins=2, hidden_dim=1, agent_hidden=1, mi_max_rows=1, feature_slots=1,
+                     encoder_layers=1, cluster_threshold=0.5)
+        for name in LEARNERS:
+            assert FastFTConfig(rl_framework=name.upper()).rl_framework == name.upper()
 
     def test_resolved_max_features(self):
         cfg = FastFTConfig()

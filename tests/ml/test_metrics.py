@@ -71,6 +71,15 @@ class TestPrecisionRecallF1:
         r = recall_score(y_true, y_pred, average="binary")
         assert f1_score(y_true, y_pred, average="binary") == pytest.approx(2 * p * r / (p + r))
 
+    @pytest.mark.parametrize("score", [precision_score, recall_score, f1_score])
+    def test_binary_scores_class_1_of_one_class_labels(self, score):
+        # All 0: the positive class 1 occurs nowhere, so there is nothing
+        # to score; all 1: every positive is found.
+        assert score([0, 0, 0], [0, 0, 0], average="binary") == 0.0
+        assert score([1, 1, 1], [1, 1, 1], average="binary") == 1.0
+        # Other labels keep the largest one as the positive class.
+        assert score([2, 2, 5], [2, 2, 5], average="binary") == 1.0
+
     def test_binary_average_on_multiclass_raises(self):
         with pytest.raises(ValueError):
             f1_score([0, 1, 2], [0, 1, 2], average="binary")

@@ -2,14 +2,16 @@
 
 :func:`repro.ml.tree._grow` grows every tree of a fit (and, through
 :func:`repro.ml.forest.fit_forests`, every fold's trees of an oracle call)
-one node per tree per round. ``tests/reference/tree.py`` keeps the
+one open node per tree per round. ``tests/reference/tree.py`` keeps the
 recursive builder and the per-tree forest loop on the per-node presort
 engine, which is the previous oracle exactly. These tests hold the two to
 the same bytes: each tree's feature, threshold, children and value arrays,
 its classes, the importances and the predictions, on generated problems
 with ties, duplicate rows, constant columns, rare classes (so bootstraps
 miss some) and every hyper-parameter the oracle varies, with both split
-dispatch paths forced through ``_SMALL``.
+dispatch paths forced through ``_SMALL``. They also pin the builder's
+counts against the reference's open nodes: its rounds, and its candidate
+draws when trees share a seed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.ml.metrics import f1_score, one_minus_rae  # noqa: E402
 from repro.ml.model_selection import KFold, StratifiedKFold, cross_val_score  # noqa: E402
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor  # noqa: E402
 from repro.serve.artifact import PipelineArtifact  # noqa: E402
-from tests.reference.split_engine import NaiveEngine  # noqa: E402
+from tests.reference.split_engine import NaiveEngine, PerNodePresortEngine  # noqa: E402
 from tests.reference.tree import (  # noqa: E402
     ReferenceDecisionTreeClassifier,
     ReferenceDecisionTreeRegressor,
@@ -253,6 +255,99 @@ class TestCrossValidation:
             seed=0,
         )
         assert evaluator.evaluate(X, y) == previous.evaluate(X, y)
+
+
+class _RoundCounter(split_engine.PresortEngine):
+    """The package's engine, counting the builder's rounds: one
+    ``best_splits`` call per round."""
+
+    rounds = 0
+
+    def best_splits(self, rows, candidates):
+        self.rounds += 1
+        return super().best_splits(rows, candidates)
+
+
+class _OpenNodeCounter(PerNodePresortEngine):
+    """The reference engine, counting ``best_split`` calls per tree. The
+    recursive builder fits one tree per ``begin_fit`` and asks once per
+    open node (one that may split), so ``open_nodes`` lists each tree's
+    open-node count in fit order."""
+
+    def __init__(self) -> None:
+        self.open_nodes: list[int] = []
+
+    def begin_fit(self, *args, **kwargs) -> None:
+        super().begin_fit(*args, **kwargs)
+        self.open_nodes.append(0)
+
+    def best_split(self, idx, candidates, node_y):
+        self.open_nodes[-1] += 1
+        return super().best_split(idx, candidates, node_y)
+
+
+# numpy's own factory, for the counting generator that stands in for it.
+_default_rng = np.random.default_rng
+
+
+class _CountingGenerator:
+    """A generator that counts its ``choice`` calls (candidate draws)."""
+
+    calls = 0
+
+    def __init__(self, seed) -> None:
+        self._rng = _default_rng(seed)
+
+    def choice(self, *args, **kwargs):
+        _CountingGenerator.calls += 1
+        return self._rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestRoundsAndDraws:
+    """A call takes one round per open node of its tree with the most of
+    them, and trees that share a seed share their candidate draws."""
+
+    @pytest.mark.parametrize("n_classes", [2, 4, 0])
+    @pytest.mark.parametrize("joint", [False, True], ids=["forest", "cross_val_score"])
+    def test_counts(self, n_classes, joint):
+        # Balanced classes (quantiles of the target), so that every
+        # tree's sample holds every class and the trees grow in one group.
+        X, y = _problem(3, 160, 7, 0, True, False)
+        if n_classes:
+            y = np.searchsorted(np.quantile(y, np.linspace(0, 1, n_classes + 1)[1:-1]), y)
+        forest, reference = (
+            (RandomForestClassifier, ReferenceRandomForestClassifier)
+            if n_classes
+            else (RandomForestRegressor, ReferenceRandomForestRegressor)
+        )
+        params = dict(n_estimators=6, max_depth=8, seed=4)
+        folds = _folds(y, 4, n_classes > 0) if joint else [(np.arange(len(y)), None)]
+        counter = _OpenNodeCounter()
+        trees = []
+        for train, _ in folds:
+            trees += reference(split_engine=counter, **params).fit(X[train], y[train]).estimators_
+        assert all(tree.n_classes_ == n_classes for tree in trees if n_classes)
+        by_seed: dict[int, int] = {}
+        for tree, open_nodes in zip(trees, counter.open_nodes, strict=True):
+            by_seed[tree.seed] = max(by_seed.get(tree.seed, 0), open_nodes)
+        if joint:
+            assert len(by_seed) < len(trees)  # equal-sized folds share seeds
+
+        engine = _RoundCounter()
+        _CountingGenerator.calls = 0
+        template = forest(split_engine=engine, **params)
+        with mock.patch.object(np.random, "default_rng", _CountingGenerator):
+            if joint:
+                scorer = f1_score if n_classes else one_minus_rae
+                cross_val_score(template, X, y, scorer, n_splits=4, seed=0,
+                                stratified=n_classes > 0)
+            else:
+                template.fit(X, y)
+        assert engine.rounds == max(counter.open_nodes)
+        assert _CountingGenerator.calls == sum(by_seed.values())
 
 
 class TestSavedArtifacts:
